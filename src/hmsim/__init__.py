@@ -52,6 +52,7 @@ from .histories import (
     PseudoProjection,
     TemporalSupport,
     are_disjoint,
+    check_disjoint_family,
     conjugate_history,
     disjoint_or,
     downset_contains,

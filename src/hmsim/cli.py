@@ -121,14 +121,6 @@ def _load_experiment(path: str) -> Experiment:
     return elaborate(parse_bytes(_read_input(path)))
 
 
-def _history_fits_state(exp: Experiment, name: str, state_space: str) -> bool:
-    hist = exp.histories.get(name)
-    if hist is None:
-        return False
-    dim = exp.spaces[state_space]
-    return all(d == dim for d in hist.factor_dims)
-
-
 def _verify_targets(config: RunConfig, exp: Experiment) -> list[tuple[str, float]]:
     """Every same-space (state, projector) Born value plus every matching
     (state, history) probability under the configured convention."""

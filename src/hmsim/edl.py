@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .dichotomic import qubit_from_angles
-from .errors import DegenerateSpanError, HmsimError
+from .errors import DegenerateSpanError, DisjointnessError, HmsimError
 from .hilbert import Projector, StateVector, complement_projector, ketbra, projector_from_span
-from .histories import HomogeneousHistory, InhomogeneousHistory, are_disjoint
+from .histories import HomogeneousHistory, InhomogeneousHistory
 
 MAX_SPACE_DIM = 64
 RENORMALIZATION_WARN_TOL = 1e-9
@@ -643,20 +643,15 @@ def elaborate(spec: ExperimentSpec) -> Experiment:
                     f"orhistory {oh.name!r}: branch {ref!r} has a different support"
                     f" than {oh.branches[0]!r}", *oh.pos
                 )
-        for i in range(len(branches)):
-            for j in range(i + 1, len(branches)):
-                if not are_disjoint(branches[i], branches[j]):
-                    raise ElaborationError(
-                        f"orhistory {oh.name!r}: branches {oh.branches[i]!r} and"
-                        f" {oh.branches[j]!r} are not disjoint", *oh.pos
-                    )
-        orhistories[oh.name] = InhomogeneousHistory(tuple(branches))
+        try:
+            orhistories[oh.name] = InhomogeneousHistory(tuple(branches))
+        except DisjointnessError as exc:
+            i, j = exc.pair
+            raise ElaborationError(
+                f"orhistory {oh.name!r}: branches {oh.branches[i]!r} and"
+                f" {oh.branches[j]!r} are not disjoint", *oh.pos
+            ) from None
 
     return Experiment(
         spaces, states, state_spaces, projectors, projector_spaces, histories, orhistories
     )
-
-
-def load_file(path: str) -> Experiment:
-    with open(path, "rb") as fh:
-        return elaborate(parse_bytes(fh.read()))

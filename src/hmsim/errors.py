@@ -34,7 +34,11 @@ class SupportError(HmsimError, ValueError):
 
 
 class DisjointnessError(HmsimError, ValueError):
-    """Branches of a disjoint family overlap."""
+    """Branches of a disjoint family overlap; `pair` is the first (i, j) found."""
+
+    def __init__(self, message: str, pair: tuple[int, int] | None = None):
+        super().__init__(message)
+        self.pair = pair
 
 
 class InfeasibleError(HmsimError, ValueError):

@@ -6,6 +6,10 @@ tensor; a disjoint family of homogeneous histories is represented by the sum
 of the branch tensors. Probabilities come from chaining the slot projectors
 through the initial state.
 
+Disjointness is decided slot by slot (check_disjoint_family). Only
+hpo_projector, hpo_negation and disjoint_or build d**n-sized matrices, and
+they refuse totals above MAX_DENSE_DIM.
+
 Two probability conventions are provided. LUEDERS renormalizes the state
 after every slot and multiplies the step survival weights, giving the
 sequential-measurement value ||pi_n ... pi_1 p||^2; it satisfies
@@ -20,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 import numpy as np
 
@@ -35,7 +40,6 @@ from .hilbert import (
     Projector,
     StateVector,
     TensorFactorization,
-    UnitaryMap,
     apply_projector,
     complement_projector,
     conjugate,
@@ -46,6 +50,7 @@ from .hilbert import (
 DISJOINT_TOL = 1e-10
 CONTAINMENT_TOL = 1e-10
 ZERO_SURVIVAL_TOL = 1e-24  # on a squared norm
+MAX_DENSE_DIM = 2048  # total dim of a dense history operator; 64 MiB as complex128
 
 
 class Convention(Enum):
@@ -133,16 +138,7 @@ class InhomogeneousHistory:
     branches: tuple[HomogeneousHistory, ...]
 
     def __post_init__(self):
-        branches = tuple(self.branches)
-        if not branches:
-            raise DisjointnessError("at least one branch required")
-        for b in branches[1:]:
-            _check_same_layout(branches[0], b)
-        for i in range(len(branches)):
-            for j in range(i + 1, len(branches)):
-                if not _tensors_orthogonal(branches[i], branches[j]):
-                    raise DisjointnessError(f"branches {i} and {j} are not disjoint")
-        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "branches", check_disjoint_family(self.branches))
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,9 +152,13 @@ class PseudoProjection:
     """
 
     chain: tuple[StateVector, ...]
-    tensor: StateVector
     survival: tuple[float, ...]
     annihilated: bool
+
+    @property
+    def tensor(self) -> StateVector:
+        """Tensor product of the chain, built on each access."""
+        return tensor_vectors(self.chain)
 
 
 def _check_same_layout(a: HomogeneousHistory, b: HomogeneousHistory) -> None:
@@ -168,51 +168,63 @@ def _check_same_layout(a: HomogeneousHistory, b: HomogeneousHistory) -> None:
         raise SupportError("histories have different slot dimensions")
 
 
-def _tensors_orthogonal(a: HomogeneousHistory, b: HomogeneousHistory) -> bool:
-    prod = hpo_projector(a).matrix.matrix @ hpo_projector(b).matrix.matrix
-    return float(np.max(np.abs(prod))) <= DISJOINT_TOL
+def check_disjoint_family(branches) -> tuple[HomogeneousHistory, ...]:
+    """The branches as a tuple, once they share one layout and are pairwise disjoint.
+
+    A pair is disjoint when max|(x_k A_k)(x_k B_k)| = prod_k max|A_k B_k| <=
+    DISJOINT_TOL, an O(n d^3) test by the Kronecker identities in Van Loan, J.
+    Comput. Appl. Math. 123, 85 (2000). The first failing pair (i, j) is named.
+    """
+    branches = tuple(branches)
+    if not branches:
+        raise DisjointnessError("at least one branch required")
+    for b in branches[1:]:
+        _check_same_layout(branches[0], b)
+    for i, j in combinations(range(len(branches)), 2):
+        slots = zip(branches[i].projectors, branches[j].projectors)
+        overlap = math.prod(float(np.max(np.abs(pa.matrix @ pb.matrix))) for pa, pb in slots)
+        if not overlap <= DISJOINT_TOL:
+            raise DisjointnessError(f"branches {i} and {j} are not disjoint", pair=(i, j))
+    return branches
+
+
+def are_disjoint(a: HomogeneousHistory, b: HomogeneousHistory) -> bool:
+    try:
+        check_disjoint_family((a, b))
+    except DisjointnessError:
+        return False
+    return True
+
+
+def _dense_factorization(a: HomogeneousHistory) -> TensorFactorization:
+    fact = TensorFactorization(a.factor_dims)
+    if fact.total_dim > MAX_DENSE_DIM:
+        raise DomainError(f"dense history operator dim {fact.total_dim} exceeds {MAX_DENSE_DIM}")
+    return fact
 
 
 def hpo_projector(a: HomogeneousHistory) -> HistoryProjector:
     """Pure-tensor projector of the history's slots."""
     return HistoryProjector(
-        TensorFactorization(a.factor_dims),
-        tensor_projectors(a.projectors),
-        HistoryForm.PURE_TENSOR,
+        _dense_factorization(a), tensor_projectors(a.projectors), HistoryForm.PURE_TENSOR
     )
 
 
 def hpo_negation(a: HomogeneousHistory) -> HistoryProjector:
     """Identity minus the pure tensor."""
     return HistoryProjector(
-        TensorFactorization(a.factor_dims),
+        _dense_factorization(a),
         complement_projector(tensor_projectors(a.projectors)),
         HistoryForm.COMPLEMENT,
     )
 
 
-def are_disjoint(a: HomogeneousHistory, b: HomogeneousHistory) -> bool:
-    _check_same_layout(a, b)
-    return _tensors_orthogonal(a, b)
-
-
 def disjoint_or(branches) -> HistoryProjector:
     """Sum of the branch tensors of a pairwise-disjoint family."""
-    branches = tuple(branches)
-    if not branches:
-        raise DisjointnessError("at least one branch required")
-    for b in branches[1:]:
-        _check_same_layout(branches[0], b)
-    for i in range(len(branches)):
-        for j in range(i + 1, len(branches)):
-            if not _tensors_orthogonal(branches[i], branches[j]):
-                raise DisjointnessError(f"branches {i} and {j} are not disjoint")
-    total = sum(hpo_projector(b).matrix.matrix for b in branches)
-    return HistoryProjector(
-        TensorFactorization(branches[0].factor_dims),
-        Projector(total),
-        HistoryForm.DISJOINT_SUM,
-    )
+    branches = check_disjoint_family(branches)
+    fact = _dense_factorization(branches[0])
+    total = sum(tensor_projectors(b.projectors).matrix for b in branches)
+    return HistoryProjector(fact, Projector(total), HistoryForm.DISJOINT_SUM)
 
 
 def downset_contains(candidate: HomogeneousHistory, family) -> bool:
@@ -258,7 +270,7 @@ def pseudo_project(p: StateVector, a: HomogeneousHistory) -> PseudoProjection:
             annihilated = True
             break
         chain.append(StateVector(w.amplitudes / math.sqrt(s)))
-    return PseudoProjection(tuple(chain), tensor_vectors(chain), tuple(survival), annihilated)
+    return PseudoProjection(tuple(chain), tuple(survival), annihilated)
 
 
 def history_probability(
@@ -352,8 +364,3 @@ def conjugate_history(a: HomogeneousHistory, us) -> HomogeneousHistory:
         raise DimensionError(f"{len(us)} unitaries for {a.length} slots")
     rotated = tuple(conjugate(p, u) for p, u in zip(a.projectors, us))
     return HomogeneousHistory(a.support, rotated)
-
-
-def uniform_unitaries(u: UnitaryMap, n: int) -> tuple[UnitaryMap, ...]:
-    """The same unitary repeated for every slot."""
-    return (u,) * n

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hmsim
 from hmsim.edl import (
     BlochForm,
     ElaborationError,
@@ -28,6 +32,21 @@ from hmsim.edl import (
 )
 
 CORPUS = Path(__file__).parent / "edl_corpus"
+
+
+def wide_orhistory_source(disjoint: bool) -> str:
+    """Two 8-slot histories on a dim-64 space, 64**8 = 2.8e14 on the product
+    space; the branches differ only in slot 0, which makes them disjoint."""
+    first = "P1" if disjoint else "P0"
+    rest = ", ".join(f"{t}.0: P0" for t in range(1, 8))
+    return (
+        "space Q dim 64;\n"
+        "proj P0 on Q = span [0];\n"
+        "proj P1 on Q = span [1];\n"
+        f"history A = [0.0: P0, {rest}];\n"
+        f"history B = [0.0: {first}, {rest}];\n"
+        "orhistory AB = or [A, B];\n"
+    )
 
 
 def test_tokenize_statement():
@@ -185,6 +204,44 @@ def test_elaborate_non_disjoint_orhistory():
         elaborate(parse_text(src))
     assert "not disjoint" in str(err.value)
     assert (err.value.line, err.value.column) == (4, 11)
+
+
+def test_wide_orhistory_elaborates_in_bounded_time(tmp_path):
+    # Timed in a child with single-threaded BLAS: on a shared 2-vCPU host a
+    # threaded 64x64 product can wait ~16 ms for its second thread, which
+    # measures the host, not the algorithm.
+    path = tmp_path / "wide.edl"
+    path.write_text(wide_orhistory_source(disjoint=True))
+    child = (
+        "import sys, time\n"
+        "from hmsim.edl import elaborate, parse_text\n"
+        "spec = parse_text(open(sys.argv[1]).read())\n"
+        "best = float('inf')\n"
+        "for _ in range(3):\n"
+        "    start = time.perf_counter()\n"
+        "    exp = elaborate(spec)\n"
+        "    best = min(best, time.perf_counter() - start)\n"
+        "print(len(exp.orhistories['AB'].branches), best)\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=str(Path(hmsim.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", child, str(path)], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout.split()
+    assert out[0] == "2"
+    assert float(out[1]) < 0.050, out
+
+
+def test_wide_non_disjoint_orhistory_exits_2_with_position(capsys, tmp_path):
+    from hmsim.cli import main
+
+    path = tmp_path / "wide.edl"
+    path.write_text(wide_orhistory_source(disjoint=False))
+    code = main(["parse-check", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "not disjoint" in err
+    assert "line 6 col 11" in err
+    assert "Traceback" not in err
 
 
 def test_elaborate_orhistory_family():

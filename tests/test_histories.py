@@ -3,12 +3,15 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PAULI_X, random_state, random_unitary
 from hmsim.dichotomic import DichotomicOutcome
 from hmsim.errors import (
     DimensionError,
     DisjointnessError,
+    DomainError,
     InfeasibleError,
     SupportError,
 )
@@ -17,10 +20,14 @@ from hmsim.hilbert import (
     StateVector,
     UnitaryMap,
     born_probability,
+    complement_projector,
     ketbra,
+    projector_from_span,
     tensor_projectors,
 )
 from hmsim.histories import (
+    DISJOINT_TOL,
+    MAX_DENSE_DIM,
     Convention,
     HistoryForm,
     HistoryOutcome,
@@ -28,6 +35,7 @@ from hmsim.histories import (
     InhomogeneousHistory,
     TemporalSupport,
     are_disjoint,
+    check_disjoint_family,
     conjugate_history,
     disjoint_or,
     downset_contains,
@@ -67,6 +75,60 @@ def literal_oracle(p: StateVector, projectors) -> float:
     tensor = reduce(np.kron, chain)
     big = reduce(np.kron, [proj.matrix for proj in projectors])
     return float(np.real(np.vdot(tensor, big @ tensor)))
+
+
+def dense_disjoint_oracle(a: HomogeneousHistory, b: HomogeneousHistory) -> bool:
+    """Independent oracle: the product-space test, max|kron(A) kron(B)| <= tol."""
+    big_a = reduce(np.kron, [p.matrix for p in a.projectors])
+    big_b = reduce(np.kron, [p.matrix for p in b.projectors])
+    return float(np.max(np.abs(big_a @ big_b))) <= DISJOINT_TOL
+
+
+def random_slot_projector(rng: np.random.Generator, dim: int, kind: str) -> Projector:
+    if kind == "ketbra":
+        return ketbra(random_state(rng, dim))
+    rank = int(rng.integers(1, dim + 1))
+    if kind == "basis":
+        picked = sorted(rng.choice(dim, size=rank, replace=False))
+        return projector_from_span([StateVector.basis(dim, int(i)) for i in picked])
+    return projector_from_span([random_state(rng, dim) for _ in range(rank)])
+
+
+def nearly_orthogonal_ketbras(rng: np.random.Generator, dim: int) -> tuple[Projector, Projector]:
+    """|u><u| and |v><v| with |<u|v>| spread over 1e-8..1e-2."""
+    u = random_state(rng, dim).amplitudes
+    w = random_state(rng, dim).amplitudes
+    w = w - np.vdot(u, w) * u
+    v = w / np.linalg.norm(w) + 10.0 ** rng.uniform(-8.0, -2.0) * u
+    return ketbra(StateVector(u)), ketbra(StateVector(v / np.linalg.norm(v)))
+
+
+@st.composite
+def history_pairs(draw):
+    """Same-layout history pairs with dim**slots <= 512: unrelated, orthogonal
+    in exactly one slot (equal elsewhere), nearly orthogonal in every slot
+    (so only the product over slots meets the tolerance), or identical."""
+    relation = draw(st.sampled_from(
+        ["unrelated", "one_slot_orthogonal", "nearly_orthogonal", "identical"]
+    ))
+    dim = draw(st.integers(2 if relation == "nearly_orthogonal" else 1, 8))
+    max_slots = 6 if dim == 1 else max(n for n in range(1, 10) if dim**n <= 512)
+    slots = draw(st.integers(1, max_slots))
+    kinds = st.sampled_from(["ketbra", "span", "basis"])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if relation == "nearly_orthogonal":
+        a, b = zip(*(nearly_orthogonal_ketbras(rng, dim) for _ in range(slots)))
+    else:
+        a = [random_slot_projector(rng, dim, draw(kinds)) for _ in range(slots)]
+        if relation == "unrelated":
+            b = [random_slot_projector(rng, dim, draw(kinds)) for _ in range(slots)]
+        else:
+            b = list(a)
+        if relation == "one_slot_orthogonal":
+            k = draw(st.integers(0, slots - 1))
+            b[k] = complement_projector(a[k])
+    times = range(slots)
+    return relation, HomogeneousHistory.at_times(times, a), HomogeneousHistory.at_times(times, b)
 
 
 def test_temporal_support_validation():
@@ -113,6 +175,41 @@ def test_are_disjoint_examples():
         are_disjoint(H_00, HomogeneousHistory.at_times([0.0, 2.0], [P1, P1]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(history_pairs())
+def test_are_disjoint_matches_dense_oracle(pair):
+    relation, a, b = pair
+    slotwise = are_disjoint(a, b)
+    assert slotwise == dense_disjoint_oracle(a, b)
+    if relation == "one_slot_orthogonal":
+        assert slotwise
+    elif relation == "identical":
+        assert not slotwise
+
+
+def test_check_disjoint_family_names_first_overlapping_pair():
+    assert check_disjoint_family([H_00, H_11]) == (H_00, H_11)
+    with pytest.raises(DisjointnessError, match="0 and 2") as err:
+        check_disjoint_family([H_00, H_11, H_00])
+    assert err.value.pair == (0, 2)
+    with pytest.raises(DisjointnessError, match="at least one"):
+        check_disjoint_family([])
+
+
+def test_dense_operators_refuse_oversized_totals():
+    # 2**12 = 4096 > MAX_DENSE_DIM; the slotwise check still decides the pair
+    big = HomogeneousHistory.at_times(range(12), [P0] * 12)
+    other = HomogeneousHistory.at_times(range(12), [P1] + [P0] * 11)
+    assert 2**12 > MAX_DENSE_DIM
+    with pytest.raises(DomainError):
+        hpo_projector(big)
+    with pytest.raises(DomainError):
+        hpo_negation(big)
+    with pytest.raises(DomainError):
+        disjoint_or([big, other])
+    assert are_disjoint(big, other)
+
+
 def test_disjoint_or_examples():
     combined = disjoint_or([H_00, H_11])
     assert combined.form is HistoryForm.DISJOINT_SUM
@@ -148,6 +245,15 @@ def test_pseudo_project_examples():
     assert np.allclose(pp.chain[1].amplitudes, [1.0, 0.0])
     assert np.allclose(pp.tensor.amplitudes, np.kron(PLUS.amplitudes, [1.0, 0.0]))
     assert not pp.annihilated
+
+
+def test_pseudo_project_builds_no_product_space_vector():
+    # eight dim-64 slots: the chain is 8 x 64 amplitudes, its tensor would be 64**8
+    proj = projector_from_span([StateVector.basis(64, 0)])
+    hist = HomogeneousHistory.at_times(range(8), [proj] * 8)
+    pp = pseudo_project(StateVector.basis(64, 0), hist)
+    assert len(pp.chain) == 8
+    assert pp.survival == pytest.approx((1.0,) * 7)
 
 
 def test_pseudo_project_requires_normalized_state():
