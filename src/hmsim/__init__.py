@@ -2,6 +2,8 @@
 and history propositions, with exact dyadic enumeration and seeded
 Monte Carlo verification."""
 
+from types import ModuleType as _ModuleType
+
 from .dichotomic import (
     BlochVector,
     DichotomicOutcome,
@@ -64,12 +66,11 @@ from .histories import (
     pseudo_project,
     trajectory,
 )
-from .rng import RandomSource, draw_lambda, draw_uniform
+from .rng import RandomSource, draw_lambda
 from .sampler import (
     ExactCheckReport,
     FrequencySummary,
     Model,
-    TrialRecord,
     exact_check,
     lambda_preimage,
     run_dichotomic,
@@ -78,4 +79,5 @@ from .sampler import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -8,6 +8,14 @@ Subcommands:
   history      probabilities, sampling and trajectory for a named history
   parse-check  parse and elaborate an experiment file
 
+Each subcommand takes only the flags it reads; any other flag is refused:
+
+  verify       --L --convention --format --no-timestamp, and --p or a file
+  sample       --seed --trials --lambda-max --format --no-timestamp
+  sphere       --seed --trials --lambda-max --L --format --no-timestamp
+  history      --seed --trials --lambda-max --format --no-timestamp
+  parse-check  --format
+
 Reports go to stdout as CSV (default) or JSON carrying identical values;
 diagnostics go to stderr. Exit codes: 0 success, 1 a quantitative check
 failed, 2 usage, domain, parse or elaboration error. With a fixed seed the
@@ -26,10 +34,11 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 from .dichotomic import (
+    LAMBDA_CAP,
     BlochVector,
     DyadicRule,
     bloch_of_qubit,
@@ -37,7 +46,7 @@ from .dichotomic import (
     diagonal_coordinate,
     qubit_from_angles,
 )
-from .edl import ElaborationError, Experiment, ParseError, elaborate, parse_bytes
+from .edl import Experiment, elaborate, parse_bytes
 from .errors import HmsimError
 from .hilbert import Projector, born_probability, vector_to_json
 from .histories import (
@@ -74,7 +83,7 @@ class RunConfig:
     input_path: str | None = None
     seed: int = 0
     trials: int = 10**5
-    lambda_max: int = 60
+    lambda_max: int = LAMBDA_CAP
     level: int = 40          # enumeration depth L
     convention: Convention = Convention.LUEDERS
     format: str = "csv"
@@ -147,11 +156,8 @@ def _verify_targets(config: RunConfig, exp: Experiment) -> list[tuple[str, float
 def cmd_verify(config: RunConfig, target_p: float | None) -> int:
     if target_p is not None:
         targets = [("p", float(target_p))]
-    elif config.input_path:
-        targets = _verify_targets(config, _load_experiment(config.input_path))
     else:
-        print("verify: provide --p or an input file", file=sys.stderr)
-        return 2
+        targets = _verify_targets(config, _load_experiment(config.input_path))
     rows = []
     all_ok = True
     for label, prob in targets:
@@ -209,14 +215,6 @@ def cmd_sphere(config: RunConfig, theta: float) -> int:
     return 0 if ok else 1
 
 
-def _trajectory_json(p, hist: HomogeneousHistory) -> str | None:
-    if history_probability(p, hist, Convention.LUEDERS) <= 0.0:
-        return None
-    states = trajectory(p, hist, HistoryOutcome.A)
-    assert states is not None
-    return json.dumps([vector_to_json(s) for s in states])
-
-
 def cmd_history(config: RunConfig, name: str, state_name: str) -> int:
     if not config.input_path:
         print("history: an input file is required", file=sys.stderr)
@@ -263,8 +261,9 @@ def cmd_history(config: RunConfig, name: str, state_name: str) -> int:
                 row[f"{conv.value}_freq"] = s.frequency
                 row[f"{conv.value}_z"] = s.z_score
                 ok = ok and abs(s.z_score) < Z_THRESHOLD
-        if isinstance(hist, HomogeneousHistory):
-            row["trajectory"] = _trajectory_json(state, hist)
+        if isinstance(hist, HomogeneousHistory) and lued > 0.0:
+            states = trajectory(state, hist, HistoryOutcome.A)
+            row["trajectory"] = json.dumps([vector_to_json(v) for v in states])
         rows.append(row)
     emit_report("history", HISTORY_COLUMNS, rows, config)
     return 0 if ok else 1
@@ -304,27 +303,33 @@ def cmd_parse_check(config: RunConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hmsim", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    common.add_argument("--trials", type=int, default=10**5,
-                        help="Monte Carlo trials (default 100000; 0 skips sampling where allowed)")
-    common.add_argument("--lambda-max", type=int, default=60, dest="lambda_max",
-                        help="discrete context cap (1..60, default 60)")
-    common.add_argument("--L", type=int, default=40, dest="level",
-                        help="enumeration depth for dyadic sums (1..60, default 40)")
-    common.add_argument("--convention", choices=["lueders", "literal"], default="lueders")
-    common.add_argument("--format", choices=["csv", "json"], default="csv")
-    common.add_argument("--no-timestamp", action="store_true",
+    # Flag groups; each subcommand takes only the groups it reads.
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["csv", "json"], default="csv")
+    report = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    report.add_argument("--no-timestamp", action="store_false", dest="timestamp",
                         help="omit the timestamp for reproducible byte-level diffs")
+    sampling = argparse.ArgumentParser(add_help=False, parents=[report])
+    sampling.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    sampling.add_argument("--trials", type=int, default=10**5,
+                          help="Monte Carlo trials (default 100000; 0 skips sampling where allowed)")
+    sampling.add_argument("--lambda-max", type=int, default=LAMBDA_CAP, dest="lambda_max",
+                          help=f"discrete context cap (1..{LAMBDA_CAP}, default {LAMBDA_CAP})")
+    level = argparse.ArgumentParser(add_help=False)
+    level.add_argument("--L", type=int, default=40, dest="level",
+                       help="enumeration depth for dyadic sums (1..60, default 40)")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[report, level],
                               help="exact dyadic recovery of target probabilities")
-    p_verify.add_argument("input", nargs="?", default=None, help="EDL file ('-' for stdin)")
-    p_verify.add_argument("--p", type=float, default=None, help="bare target probability")
+    p_verify.add_argument("--convention", choices=["lueders", "literal"], default="lueders")
+    target = p_verify.add_mutually_exclusive_group(required=True)
+    target.add_argument("input_path", metavar="input", nargs="?", default=None,
+                        help="EDL file ('-' for stdin)")
+    target.add_argument("--p", type=float, default=None, help="bare target probability")
 
-    p_sample = sub.add_parser("sample", parents=[common],
+    p_sample = sub.add_parser("sample", parents=[sampling],
                               help="Monte Carlo run of one dichotomic model")
     p_sample.add_argument("--model", choices=["continuous", "greedy", "geometric"],
                           required=True)
@@ -333,43 +338,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--t", type=float, default=None,
                           help="chord coordinate (continuous/geometric models)")
 
-    p_sphere = sub.add_parser("sphere", parents=[common], help="qubit model cross-check")
+    p_sphere = sub.add_parser("sphere", parents=[sampling, level], help="qubit model cross-check")
     p_sphere.add_argument("--theta", type=float, required=True,
                           help="polar angle against the measurement axis, radians")
 
-    p_history = sub.add_parser("history", parents=[common],
+    p_history = sub.add_parser("history", parents=[sampling],
                                help="report on a named history from an EDL file")
-    p_history.add_argument("input", help="EDL file ('-' for stdin)")
+    p_history.add_argument("input_path", metavar="input", help="EDL file ('-' for stdin)")
     p_history.add_argument("--name", required=True)
     p_history.add_argument("--state", required=True)
 
-    p_check = sub.add_parser("parse-check", parents=[common],
+    p_check = sub.add_parser("parse-check", parents=[fmt],
                              help="parse and elaborate an EDL file")
-    p_check.add_argument("input", help="EDL file ('-' for stdin)")
+    p_check.add_argument("input_path", metavar="input", help="EDL file ('-' for stdin)")
 
     return parser
 
 
 def _make_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(
-        subcommand=args.subcommand,
-        input_path=getattr(args, "input", None),
-        seed=args.seed,
-        trials=args.trials,
-        lambda_max=args.lambda_max,
-        level=args.level,
-        convention=Convention(args.convention),
-        format=args.format,
-        timestamp=not args.no_timestamp,
-    )
+    """RunConfig from the flags the subcommand took; the others keep their defaults."""
+    opts = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    config = RunConfig(**opts)
+    config.convention = Convention(config.convention)
     if not 0 <= config.seed < 2**64:
         raise HmsimError("--seed must be in [0, 2**64)")
     if config.trials < 0:
         raise HmsimError("--trials must be >= 0")
     if not 1 <= config.level <= 60:
         raise HmsimError("--L must be in 1..60")
-    if not 1 <= config.lambda_max <= 60:
-        raise HmsimError("--lambda-max must be in 1..60")
+    if not 1 <= config.lambda_max <= LAMBDA_CAP:
+        raise HmsimError(f"--lambda-max must be in 1..{LAMBDA_CAP}")
     return config
 
 
@@ -384,27 +382,18 @@ def main(argv=None) -> int:
             return cmd_verify(config, args.p)
         if args.subcommand == "sample":
             model = Model(args.model)
-            value = args.p if model is Model.GREEDY else args.t
-            if value is None:
-                print("sample: provide --p for greedy or --t for continuous/geometric",
-                      file=sys.stderr)
+            value, other = (args.p, args.t) if model is Model.GREEDY else (args.t, args.p)
+            if value is None or other is not None:
+                print("sample: provide --p for greedy or --t for continuous/geometric,"
+                      " not both", file=sys.stderr)
                 return 2
             return cmd_sample(config, model, value)
         if args.subcommand == "sphere":
             return cmd_sphere(config, args.theta)
         if args.subcommand == "history":
             return cmd_history(config, args.name, args.state)
-        if args.subcommand == "parse-check":
-            return cmd_parse_check(config)
-        print(f"unknown subcommand {args.subcommand!r}", file=sys.stderr)
-        return 2
-    except (ParseError, ElaborationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HmsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return cmd_parse_check(config)
+    except (HmsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

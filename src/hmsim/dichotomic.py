@@ -275,13 +275,11 @@ def expand_geometric_t(t: float, depth: int) -> DyadicExpansion:
 
 def dyadic_outcome(prob: float, lam: int) -> DichotomicOutcome:
     """Greedy-rule outcome at a single level."""
-    _check_level(lam)
     return expand(prob, lam, DyadicRule.GREEDY).outcome(lam)
 
 
 def dyadic_outcome_geometric(t: float, lam: int) -> DichotomicOutcome:
     """Even-cell parity outcome at a single level, from the chord coordinate t."""
-    _check_level(lam)
     return expand_geometric_t(t, lam).outcome(lam)
 
 

@@ -272,8 +272,3 @@ def complex_pair(z: complex) -> list[float]:
 def vector_to_json(v: StateVector) -> list[list[float]]:
     """Amplitudes as [re, im] pairs, basis order."""
     return [complex_pair(z) for z in v.amplitudes]
-
-
-def matrix_to_json(m: np.ndarray) -> list[list[float]]:
-    """Row-major flattening to [re, im] pairs."""
-    return [complex_pair(z) for z in np.asarray(m).reshape(-1)]

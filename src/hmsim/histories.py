@@ -256,21 +256,34 @@ def _require_state_fits(p: StateVector, a: HomogeneousHistory) -> None:
             )
 
 
+def _lueders_chain(p: StateVector, projectors):
+    """(survival, renormalized image) per slot of the Lueders chain.
+
+    At the first slot whose survival is below ZERO_SURVIVAL_TOL the image is
+    None and the walk stops.
+    """
+    state = p
+    for proj in projectors:
+        w = apply_projector(proj, state)
+        s = w.norm_sq()
+        if s < ZERO_SURVIVAL_TOL:
+            yield s, None
+            return
+        state = StateVector(w.amplitudes / math.sqrt(s))
+        yield s, state
+
+
 def pseudo_project(p: StateVector, a: HomogeneousHistory) -> PseudoProjection:
     """Chain the state through the first n-1 slots, renormalizing each step."""
     _require_state_fits(p, a)
     chain: list[StateVector] = [p]
     survival: list[float] = []
-    annihilated = False
-    for proj in a.projectors[:-1]:
-        w = apply_projector(proj, chain[-1])
-        s = w.norm_sq()
+    for s, q in _lueders_chain(p, a.projectors[:-1]):
         survival.append(s)
-        if s < ZERO_SURVIVAL_TOL:
-            annihilated = True
-            break
-        chain.append(StateVector(w.amplitudes / math.sqrt(s)))
-    return PseudoProjection(tuple(chain), tuple(survival), annihilated)
+        if q is None:
+            return PseudoProjection(tuple(chain), tuple(survival), True)
+        chain.append(q)
+    return PseudoProjection(tuple(chain), tuple(survival), False)
 
 
 def history_probability(
@@ -285,15 +298,11 @@ def history_probability(
     """
     _require_state_fits(p, a)
     if convention is Convention.LUEDERS:
-        state = p
         prob = 1.0
-        for proj in a.projectors:
-            w = apply_projector(proj, state)
-            s = w.norm_sq()
-            if s < ZERO_SURVIVAL_TOL:
+        for s, q in _lueders_chain(p, a.projectors):
+            if q is None:
                 return 0.0
             prob *= s
-            state = StateVector(w.amplitudes / math.sqrt(s))
         return min(prob, 1.0)
     if convention is Convention.LITERAL:
         amps = p.amplitudes
@@ -346,14 +355,10 @@ def trajectory(
         return None
     _require_state_fits(p, a)
     states: list[StateVector] = []
-    current = p
-    for proj in a.projectors:
-        w = apply_projector(proj, current)
-        s = w.norm_sq()
-        if s < ZERO_SURVIVAL_TOL:
+    for _, q in _lueders_chain(p, a.projectors):
+        if q is None:
             raise InfeasibleError("affirmative outcome has probability zero")
-        current = StateVector(w.amplitudes / math.sqrt(s))
-        states.append(current)
+        states.append(q)
     return tuple(states)
 
 

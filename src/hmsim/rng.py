@@ -48,10 +48,6 @@ class RandomSource:
             self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._gen
 
-    def sibling(self, stream_id: int) -> "RandomSource":
-        """Fresh stream with the same seed and a different stream id."""
-        return RandomSource(self.seed, stream_id)
-
     def uniform(self) -> float:
         return float(self.generator.random())
 
@@ -86,15 +82,6 @@ def _check_lambda_max(lambda_max: int) -> int:
     if not isinstance(lambda_max, int) or isinstance(lambda_max, bool) or not 1 <= lambda_max <= LAMBDA_CAP:
         raise DomainError(f"lambda_max must be an integer in [1, {LAMBDA_CAP}], got {lambda_max!r}")
     return lambda_max
-
-
-def draw_uniform(rng: RandomSource) -> float:
-    """Next 53-bit uniform in [0, 1)."""
-    return rng.uniform()
-
-
-def draw_uniforms(rng: RandomSource, n: int) -> np.ndarray:
-    return rng.uniforms(n)
 
 
 def draw_lambda(rng: RandomSource, lambda_max: int = LAMBDA_CAP) -> DiscreteContext:

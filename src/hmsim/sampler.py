@@ -17,7 +17,6 @@ import numpy as np
 
 from .dichotomic import (
     DichotomicOutcome,
-    DiscreteContext,
     DyadicRule,
     LAMBDA_CAP,
     continuous_probability,
@@ -28,27 +27,19 @@ from .dichotomic import (
 from .errors import DomainError
 from .histories import (
     Convention,
-    HistoryOutcome,
     HomogeneousHistory,
     InhomogeneousHistory,
     history_probability,
     inhomogeneous_probability,
 )
 from .hilbert import StateVector
-from .rng import RandomSource, _check_lambda_max, draw_lambdas, draw_uniforms
+from .rng import RandomSource, _check_lambda_max, draw_lambdas
 
 
 class Model(Enum):
     CONTINUOUS = "continuous"
     GREEDY = "greedy"
     GEOMETRIC = "geometric"
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    trial_index: int
-    context: DiscreteContext | float
-    outcome: DichotomicOutcome | HistoryOutcome
 
 
 @dataclass(frozen=True)
@@ -133,7 +124,7 @@ def _alpha_flags(
     _check_lambda_max(lambda_max)
     expected, table = _model_table(model, value, lambda_max)
     if model is Model.CONTINUOUS:
-        us = draw_uniforms(rng, n)
+        us = rng.uniforms(n)
         return expected, us, us >= value
     lams = draw_lambdas(rng, n, lambda_max)
     return expected, lams, table[lams - 1]
@@ -155,23 +146,6 @@ def run_dichotomic(
     return summarize(n, int(flags.sum()), expected)
 
 
-def dichotomic_trials(
-    model: Model,
-    value: float,
-    n: int,
-    rng: RandomSource,
-    lambda_max: int = LAMBDA_CAP,
-) -> list[TrialRecord]:
-    """Materialized per-trial records; same draw path as run_dichotomic."""
-    _, contexts, flags = _alpha_flags(model, value, n, rng, lambda_max)
-    records = []
-    for i in range(n):
-        ctx = float(contexts[i]) if model is Model.CONTINUOUS else DiscreteContext(int(contexts[i]))
-        out = DichotomicOutcome.ALPHA if flags[i] else DichotomicOutcome.NOT_ALPHA
-        records.append(TrialRecord(i, ctx, out))
-    return records
-
-
 def run_history(
     p: StateVector,
     a: HomogeneousHistory | InhomogeneousHistory,
@@ -191,22 +165,6 @@ def run_history(
     else:
         prob = history_probability(p, a, convention)
     return run_dichotomic(Model.GREEDY, prob, n, rng, lambda_max)
-
-
-def history_trials(
-    p: StateVector,
-    a: HomogeneousHistory,
-    convention: Convention,
-    n: int,
-    rng: RandomSource,
-    lambda_max: int = LAMBDA_CAP,
-) -> list[TrialRecord]:
-    """Per-trial records with history outcomes; same draw path as run_history."""
-    prob = history_probability(p, a, convention)
-    records = dichotomic_trials(Model.GREEDY, prob, n, rng, lambda_max)
-    mapped = {DichotomicOutcome.ALPHA: HistoryOutcome.A,
-              DichotomicOutcome.NOT_ALPHA: HistoryOutcome.NOT_A}
-    return [TrialRecord(r.trial_index, r.context, mapped[r.outcome]) for r in records]
 
 
 def lambda_preimage(

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -178,7 +179,7 @@ def test_parse_check_valid_and_invalid(capsys):
 
 def test_parse_check_json_history_schema(capsys):
     code, out, _ = run_cli(capsys, "parse-check", str(CORPUS / "valid_09.edl"),
-                           "--format", "json", "--no-timestamp")
+                           "--format", "json")
     assert code == 0
     doc = json.loads(out)
     hist = {h["name"]: h for h in doc["histories"]}
@@ -233,3 +234,129 @@ def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", FakeStdin())
     code, out, _ = run_cli(capsys, "parse-check", "-")
     assert code == 0
+
+
+# sha256 of stdout and the exit code of --no-timestamp reports, recorded on
+# the code before the CLI flags were split per subcommand; "{orhist}" is
+# valid_09.edl plus a state, so that its orhistory can be sampled.
+ORHIST_EDL = (CORPUS / "valid_09.edl").read_text() + \
+    "state plus in Q = [0.7071067811865476, 0.7071067811865476];\n"
+GOLDEN_REPORTS = [
+    (["verify", "--p", "0.3", "--L", "30"], 0,
+     "05dffca94bc479a148f3c4237df7daba7b5eb506456141fe6b88b38e63f1af99"),
+    (["verify", "--p", "0.3", "--format", "json"], 0,
+     "81f52b6d028bae93bc99a1d6d201086ab765c78c9ecabbc4524dcb385c101c02"),
+    (["verify", str(CORPUS / "valid_12.edl")], 0,
+     "4c404f9a66b9fc4509377a20a944b057d8c6fbb6f0b194c9e93147c62c0156e9"),
+    (["verify", str(CORPUS / "valid_11.edl"), "--convention", "literal",
+      "--format", "json"], 0,
+     "81aa3ec8c57ca7a54618c2bd4f9b1de13ecc6f9261312877a46371c22cf62c10"),
+    (["sample", "--model", "greedy", "--p", "0.3", "--trials", "5000", "--seed", "7"], 0,
+     "2c3f4022f5bfad9c29b9ada74f40fda47560ee9ac37e919b2bd8fb43effe2642"),
+    (["sample", "--model", "continuous", "--t", "0.4", "--trials", "5000",
+      "--format", "json"], 0,
+     "eb8e0c262310124f18ffafee5a29bf452da1198e07af5efab39392883e8e2712"),
+    (["sample", "--model", "geometric", "--t", "0.25", "--trials", "5000",
+      "--lambda-max", "20"], 0,
+     "da207862bdb848cc5f02a60c77fab92e0de4acc8b9db9a9789e1e3ff8692e7e5"),
+    (["sphere", "--theta", "1.0", "--trials", "3000", "--L", "20"], 0,
+     "2565ac852a1bd5111ffc115e64fcb5462586751ad86835f4dd34ce9c41384de3"),
+    (["sphere", "--theta", "2.0", "--trials", "3000", "--seed", "3", "--format", "json"], 0,
+     "f9ff9244fa930f7d7f5ce7139f16a8f8e682458a4ac42d06484bae8f0bc0c37a"),
+    (["history", str(CORPUS / "valid_11.edl"), "--name", "HH", "--state", "plus",
+      "--trials", "2000"], 0,
+     "ba781755690911cbfa9bd72eabaeb56e5e2a6116f9e438f8c57bc7c99bc61f10"),
+    (["history", str(CORPUS / "valid_11.edl"), "--name", "HH", "--state", "plus",
+      "--trials", "2000", "--format", "json"], 0,
+     "ac560a9f2d96f142ce6f89c2ac95c2c4a6f557f590fd8022bfc46656c4dd8af1"),
+    (["history", "{orhist}", "--name", "AB", "--state", "plus", "--trials", "2000"], 0,
+     "a4e9bf268d6d395d0db21d4025644138e435435918653d9a1ca21ca93f286ccb"),
+    (["history", "{orhist}", "--name", "AB", "--state", "plus", "--trials", "2000",
+      "--format", "json"], 0,
+     "4cbdfca530c31fc26dd4f02487f5bb7e8e354108dfc22a6a3facd9a7caf9f012"),
+    (["parse-check", str(CORPUS / "valid_12.edl")], 0,
+     "e12b724313c81523a2628c6a9ad159d1b2328bb8ae72659b6e8135ed1bfe0276"),
+    (["parse-check", str(CORPUS / "valid_12.edl"), "--format", "json"], 0,
+     "c2f083ab403e924d72783e1c5582aa7f8f20a488ce52aec5f5452ace96bbb7e9"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN_REPORTS,
+                         ids=[f"{i:02d}-{a[0]}" for i, (a, _, _) in enumerate(GOLDEN_REPORTS)])
+def test_golden_report_digests(capsys, tmp_path, argv, code, digest):
+    orhist = tmp_path / "orhist.edl"
+    orhist.write_text(ORHIST_EDL)
+    argv = [str(orhist) if a == "{orhist}" else a for a in argv]
+    if argv[0] != "parse-check":
+        argv.append("--no-timestamp")
+    got_code, out, _ = run_cli(capsys, *argv)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def test_verify_refuses_both_p_and_file(capsys):
+    code, out, err = run_cli(capsys, "verify", "--p", "0.5", str(CORPUS / "valid_11.edl"))
+    assert code == 2
+    assert out == ""
+    assert "not allowed with argument" in err
+    code, _, err = run_cli(capsys, "verify")
+    assert code == 2
+    assert "required" in err
+
+
+@pytest.mark.parametrize("model,extra", [
+    ("greedy", ["--p", "0.3", "--t", "0.5"]),
+    ("continuous", ["--t", "0.3", "--p", "0.5"]),
+    ("geometric", ["--t", "0.3", "--p", "0.5"]),
+])
+def test_sample_refuses_the_other_model_parameter(capsys, model, extra):
+    code, out, err = run_cli(capsys, "sample", "--model", model, *extra, "--trials", "10")
+    assert code == 2
+    assert out == ""
+    assert "provide" in err
+
+
+# Every flag a subcommand reads, with a valid value; any other shared flag is refused.
+SHARED_FLAGS = {"--seed": "1", "--trials": "100", "--lambda-max": "30", "--L": "20",
+                "--convention": "literal", "--format": "json", "--no-timestamp": None}
+SUBCOMMAND_FLAGS = {
+    "verify": (["verify", str(CORPUS / "valid_11.edl")],
+               ["--L", "--convention", "--format", "--no-timestamp"]),
+    "sample": (["sample", "--model", "greedy", "--p", "0.3"],
+               ["--seed", "--trials", "--lambda-max", "--format", "--no-timestamp"]),
+    "sphere": (["sphere", "--theta", "1.0"],
+               ["--seed", "--trials", "--lambda-max", "--L", "--format", "--no-timestamp"]),
+    "history": (["history", str(CORPUS / "valid_11.edl"), "--name", "HH", "--state", "plus"],
+                ["--seed", "--trials", "--lambda-max", "--format", "--no-timestamp"]),
+    "parse-check": (["parse-check", str(CORPUS / "valid_12.edl")], ["--format"]),
+}
+FLAG_CASES = [(sub, flag, flag in kept)
+              for sub, (_, kept) in SUBCOMMAND_FLAGS.items() for flag in SHARED_FLAGS]
+
+
+def test_flag_table_counts():
+    assert sum(accepted for _, _, accepted in FLAG_CASES) == 21
+    assert sum(not accepted for _, _, accepted in FLAG_CASES) == 14
+
+
+@pytest.mark.parametrize("sub,flag,accepted", FLAG_CASES,
+                         ids=[f"{s}{f}" for s, f, _ in FLAG_CASES])
+def test_subcommand_flags_accepted_or_refused(capsys, sub, flag, accepted):
+    base, _ = SUBCOMMAND_FLAGS[sub]
+    value = SHARED_FLAGS[flag]
+    argv = base + ([flag] if value is None else [flag, value])
+    code, out, err = run_cli(capsys, *argv)
+    assert "Traceback" not in err
+    if accepted:
+        assert code == 0, err
+    else:
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("sub", list(SUBCOMMAND_FLAGS))
+def test_help_lists_only_the_flags_read(capsys, sub):
+    code, out, _ = run_cli(capsys, sub, "--help")
+    assert code == 0
+    listed = {flag for flag in SHARED_FLAGS if f"{flag} " in out or f"{flag}\n" in out}
+    assert listed == set(SUBCOMMAND_FLAGS[sub][1])

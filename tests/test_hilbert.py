@@ -22,7 +22,6 @@ from hmsim.hilbert import (
     conjugate,
     inner_product,
     ketbra,
-    matrix_to_json,
     projector_from_span,
     tensor_projectors,
     tensor_vectors,
@@ -202,6 +201,3 @@ def test_ketbra_matches_span_projector(rng):
 
 def test_json_serialization_layout():
     assert vector_to_json(StateVector.of([1.0, 1j])) == [[1.0, 0.0], [0.0, 1.0]]
-    assert matrix_to_json(np.array([[1.0, 2.0], [3.0, 4.0]])) == [
-        [1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0],
-    ]

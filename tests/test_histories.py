@@ -19,6 +19,7 @@ from hmsim.hilbert import (
     Projector,
     StateVector,
     UnitaryMap,
+    apply_projector,
     born_probability,
     complement_projector,
     ketbra,
@@ -28,6 +29,7 @@ from hmsim.hilbert import (
 from hmsim.histories import (
     DISJOINT_TOL,
     MAX_DENSE_DIM,
+    ZERO_SURVIVAL_TOL,
     Convention,
     HistoryForm,
     HistoryOutcome,
@@ -465,6 +467,100 @@ def test_trajectory_lands_in_projector_ranges(rng):
         states = trajectory(p, hist, HistoryOutcome.A)
         for s, proj in zip(states, projs):
             assert np.linalg.norm(proj.matrix @ s.amplitudes - s.amplitudes) <= 1e-10
+
+
+# The three Lueders-chain loops as written before they shared one walk, kept
+# as the oracle for history_probability (LUEDERS), pseudo_project and trajectory.
+def chain_oracle_pseudo_project(p, a):
+    chain = [p]
+    survival = []
+    annihilated = False
+    for proj in a.projectors[:-1]:
+        w = apply_projector(proj, chain[-1])
+        s = w.norm_sq()
+        survival.append(s)
+        if s < ZERO_SURVIVAL_TOL:
+            annihilated = True
+            break
+        chain.append(StateVector(w.amplitudes / math.sqrt(s)))
+    return tuple(chain), tuple(survival), annihilated
+
+
+def chain_oracle_probability(p, a):
+    state = p
+    prob = 1.0
+    for proj in a.projectors:
+        w = apply_projector(proj, state)
+        s = w.norm_sq()
+        if s < ZERO_SURVIVAL_TOL:
+            return 0.0
+        prob *= s
+        state = StateVector(w.amplitudes / math.sqrt(s))
+    return min(prob, 1.0)
+
+
+def chain_oracle_trajectory(p, a):
+    states = []
+    current = p
+    for proj in a.projectors:
+        w = apply_projector(proj, current)
+        s = w.norm_sq()
+        if s < ZERO_SURVIVAL_TOL:
+            raise InfeasibleError("affirmative outcome has probability zero")
+        current = StateVector(w.amplitudes / math.sqrt(s))
+        states.append(current)
+    return tuple(states)
+
+
+@st.composite
+def chain_cases(draw):
+    """A state and a history on dims 2..6 with 1..7 slots. Unless `where` is
+    "none", the slot at the first, a middle or the last position is replaced by
+    the complement of the state that reaches it, so the chain dies there."""
+    dim = draw(st.integers(2, 6))
+    slots = draw(st.integers(1, 7))
+    where = draw(st.sampled_from(["none", "first", "middle", "last"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["ketbra", "span", "basis"])
+    projs = [random_slot_projector(rng, dim, draw(kinds)) for _ in range(slots)]
+    p = random_state(rng, dim)
+    if where != "none":
+        k = {"first": 0, "middle": slots // 2, "last": slots - 1}[where]
+        entering = p
+        if k:
+            try:
+                prefix = HomogeneousHistory.at_times(range(k), projs[:k])
+                entering = chain_oracle_trajectory(p, prefix)[-1]
+            except InfeasibleError:
+                entering = None  # the chain already dies before slot k
+        if entering is not None:
+            projs[k] = complement_projector(ketbra(entering))
+    return where, p, HomogeneousHistory.at_times(range(slots), projs)
+
+
+def amplitude_bytes(states):
+    return [s.amplitudes.tobytes() for s in states]
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_cases())
+def test_lueders_chain_matches_old_loops(case):
+    where, p, hist = case
+    prob = history_probability(p, hist, Convention.LUEDERS)
+    assert prob == chain_oracle_probability(p, hist)
+    assert where == "none" or prob == 0.0
+    chain, survival, annihilated = chain_oracle_pseudo_project(p, hist)
+    pp = pseudo_project(p, hist)
+    assert amplitude_bytes(pp.chain) == amplitude_bytes(chain)
+    assert pp.survival == survival
+    assert pp.annihilated == annihilated
+    try:
+        expected = amplitude_bytes(chain_oracle_trajectory(p, hist))
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            trajectory(p, hist, HistoryOutcome.A)
+    else:
+        assert amplitude_bytes(trajectory(p, hist, HistoryOutcome.A)) == expected
 
 
 def test_conjugate_history_examples():

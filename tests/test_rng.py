@@ -9,8 +9,6 @@ from hmsim.rng import (
     _bit_length_u64,
     draw_lambda,
     draw_lambdas,
-    draw_uniform,
-    draw_uniforms,
 )
 
 # First ten uniforms of the committed generator for (seed=42, stream_id=0).
@@ -34,32 +32,32 @@ def test_generator_contract_is_documented():
 
 def test_golden_vector_seed_42():
     rng = RandomSource(42, 0)
-    assert [draw_uniform(rng) for _ in range(10)] == GOLDEN_SEED_42
+    assert [rng.uniform() for _ in range(10)] == GOLDEN_SEED_42
 
 
 def test_identical_keys_identical_streams():
     scalar_stream = RandomSource(7, 3)
     vector_stream = RandomSource(7, 3)
-    assert [draw_uniform(scalar_stream) for _ in range(20)] == list(
-        draw_uniforms(vector_stream, 20)
+    assert [scalar_stream.uniform() for _ in range(20)] == list(
+        vector_stream.uniforms(20)
     )
 
 
 def test_distinct_streams_differ():
-    a = draw_uniforms(RandomSource(42, 0), 8)
-    b = draw_uniforms(RandomSource(42, 1), 8)
-    c = draw_uniforms(RandomSource(43, 0), 8)
+    a = RandomSource(42, 0).uniforms(8)
+    b = RandomSource(42, 1).uniforms(8)
+    c = RandomSource(43, 0).uniforms(8)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_uniforms_in_unit_interval():
-    u = draw_uniforms(RandomSource(1, 0), 10_000)
+    u = RandomSource(1, 0).uniforms(10_000)
     assert np.all(u >= 0.0) and np.all(u < 1.0)
 
 
 def test_uniform_mean():
-    u = draw_uniforms(RandomSource(0, 0), 10**6)
+    u = RandomSource(0, 0).uniforms(10**6)
     assert abs(float(u.mean()) - 0.5) < 0.002
 
 

@@ -1,19 +1,18 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hmsim.dichotomic import DichotomicOutcome, DiscreteContext, DyadicRule
+from hmsim.dichotomic import DichotomicOutcome, DyadicRule
 from hmsim.errors import DomainError
 from hmsim.hilbert import Projector, StateVector
 from hmsim.histories import Convention, HomogeneousHistory, InhomogeneousHistory
 from hmsim.rng import RandomSource
-from hmsim.histories import HistoryOutcome
 from hmsim.sampler import (
     Model,
-    dichotomic_trials,
+    _alpha_flags,
     exact_check,
-    history_trials,
     lambda_preimage,
     run_dichotomic,
     run_history,
@@ -51,24 +50,22 @@ def test_summaries_reproducible_and_stream_sensitive():
 
 def test_trials_match_summary():
     for model, value in ((Model.GREEDY, 0.37), (Model.CONTINUOUS, 0.37), (Model.GEOMETRIC, 0.37)):
-        records = dichotomic_trials(model, value, 400, RandomSource(1, 2))
+        expected, contexts, flags = _alpha_flags(model, value, 400, RandomSource(1, 2), 60)
         summary = run_dichotomic(model, value, 400, RandomSource(1, 2))
-        assert len(records) == 400
-        assert [r.trial_index for r in records] == list(range(400))
-        assert sum(r.outcome is ALPHA for r in records) == summary.count_alpha
-
-
-def test_trial_records_reproducible():
-    a = dichotomic_trials(Model.GREEDY, 0.3, 100, RandomSource(8, 0))
-    b = dichotomic_trials(Model.GREEDY, 0.3, 100, RandomSource(8, 0))
-    assert a == b
+        assert contexts.shape == flags.shape == (400,)
+        assert expected == summary.expected_p
+        assert int(flags.sum()) == summary.count_alpha
 
 
 def test_trial_contexts_have_expected_types():
-    recs = dichotomic_trials(Model.CONTINUOUS, 0.5, 10, RandomSource(0, 0))
-    assert all(isinstance(r.context, float) and 0.0 <= r.context < 1.0 for r in recs)
-    recs = dichotomic_trials(Model.GEOMETRIC, 0.5, 10, RandomSource(0, 0))
-    assert all(isinstance(r.context, DiscreteContext) for r in recs)
+    _, us, _ = _alpha_flags(Model.CONTINUOUS, 0.5, 1000, RandomSource(0, 0), 60)
+    assert us.dtype == np.float64
+    assert np.all(us >= 0.0) and np.all(us < 1.0)
+    for model in (Model.GREEDY, Model.GEOMETRIC):
+        for lambda_max in (1, 3, 60):
+            _, lams, _ = _alpha_flags(model, 0.5, 1000, RandomSource(0, 0), lambda_max)
+            assert np.issubdtype(lams.dtype, np.integer)
+            assert np.all(lams >= 1) and np.all(lams <= lambda_max)
 
 
 def test_frequencies_near_expected():
@@ -105,16 +102,6 @@ def test_run_history_accepts_disjoint_families():
     ))
     s = run_history(PLUS, fam, Convention.LUEDERS, 400, RandomSource(0, 0))
     assert s.count_alpha == 400  # branch probabilities sum to one
-
-
-def test_history_trials_match_history_run():
-    hist = HomogeneousHistory.at_times([0.0, 1.0], [P0, P0])
-    records = history_trials(PLUS, hist, Convention.LUEDERS, 300, RandomSource(4, 0))
-    summary = run_history(PLUS, hist, Convention.LUEDERS, 300, RandomSource(4, 0))
-    assert len(records) == 300
-    assert all(r.outcome in (HistoryOutcome.A, HistoryOutcome.NOT_A) for r in records)
-    assert sum(r.outcome is HistoryOutcome.A for r in records) == summary.count_alpha
-    assert records == history_trials(PLUS, hist, Convention.LUEDERS, 300, RandomSource(4, 0))
 
 
 def test_run_history_rejects_procedure_sums_beyond_one():
