@@ -59,7 +59,7 @@ from .histories import (
     trajectory,
 )
 from .rng import RandomSource
-from .sampler import Model, exact_check, run_dichotomic, run_history
+from .sampler import Model, check_branch_sum, exact_check, run_dichotomic
 
 Z_THRESHOLD = 4.0
 
@@ -231,13 +231,6 @@ def cmd_history(config: RunConfig, name: str, state_name: str) -> int:
         print(f"history: unknown history {name!r}", file=sys.stderr)
         return 2
 
-    def prob_pair(h) -> tuple[float, float]:
-        if isinstance(h, InhomogeneousHistory):
-            return (inhomogeneous_probability(state, h, Convention.LUEDERS),
-                    inhomogeneous_probability(state, h, Convention.LITERAL))
-        return (history_probability(state, h, Convention.LUEDERS),
-                history_probability(state, h, Convention.LITERAL))
-
     rows = []
     ok = True
     entries: list[tuple[str, HomogeneousHistory | InhomogeneousHistory, str | None]]
@@ -250,18 +243,21 @@ def cmd_history(config: RunConfig, name: str, state_name: str) -> int:
         entries.append((name, orhist, "*"))
     stream = 0
     for label, hist, branch in entries:
-        lued, lit = prob_pair(hist)
-        row = {"name": label, "branch": branch, "lueders_p": lued, "literal_p": lit,
-               "n_trials": config.trials}
+        family = isinstance(hist, InhomogeneousHistory)
+        prob_of = inhomogeneous_probability if family else history_probability
+        probs = {conv: prob_of(state, hist, conv) for conv in Convention}
+        row = {"name": label, "branch": branch, "lueders_p": probs[Convention.LUEDERS],
+               "literal_p": probs[Convention.LITERAL], "n_trials": config.trials}
         if config.trials > 0:
-            for conv in (Convention.LUEDERS, Convention.LITERAL):
-                s = run_history(state, hist, conv, config.trials,
-                                RandomSource(config.seed, stream), config.lambda_max)
+            for conv, prob in probs.items():
+                s = run_dichotomic(Model.GREEDY, check_branch_sum(prob) if family else prob,
+                                   config.trials, RandomSource(config.seed, stream),
+                                   config.lambda_max)
                 stream += 1
                 row[f"{conv.value}_freq"] = s.frequency
                 row[f"{conv.value}_z"] = s.z_score
                 ok = ok and abs(s.z_score) < Z_THRESHOLD
-        if isinstance(hist, HomogeneousHistory) and lued > 0.0:
+        if not family and probs[Convention.LUEDERS] > 0.0:
             states = trajectory(state, hist, HistoryOutcome.A)
             row["trajectory"] = json.dumps([vector_to_json(v) for v in states])
         rows.append(row)
@@ -324,10 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[report, level],
                               help="exact dyadic recovery of target probabilities")
     p_verify.add_argument("--convention", choices=["lueders", "literal"], default="lueders")
-    target = p_verify.add_mutually_exclusive_group(required=True)
-    target.add_argument("input_path", metavar="input", nargs="?", default=None,
-                        help="EDL file ('-' for stdin)")
-    target.add_argument("--p", type=float, default=None, help="bare target probability")
+    # not a mutually exclusive group: there a refused flag's value (`--seed 1`)
+    # would fill `input` and be reported as a conflict with --p
+    p_verify.add_argument("input_path", metavar="input", nargs="?", default=None,
+                          help="EDL file ('-' for stdin)")
+    p_verify.add_argument("--p", type=float, default=None, help="bare target probability")
 
     p_sample = sub.add_parser("sample", parents=[sampling],
                               help="Monte Carlo run of one dichotomic model")
@@ -379,6 +376,10 @@ def main(argv=None) -> int:
     try:
         config = _make_config(args)
         if args.subcommand == "verify":
+            if (args.p is None) == (args.input_path is None):
+                print("verify: exactly one of input or --p is required"
+                      " (--p is not allowed with argument input)", file=sys.stderr)
+                return 2
             return cmd_verify(config, args.p)
         if args.subcommand == "sample":
             model = Model(args.model)

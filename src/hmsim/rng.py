@@ -12,7 +12,8 @@ Discrete context levels are drawn by scanning the bits of one raw 64-bit
 word most-significant first: each bit is one fair Bernoulli trial and the
 level is the index of the first set bit, capped at lambda_max (an all-zero
 prefix of length lambda_max - 1, probability 2**-(lambda_max - 1), is
-assigned to the cap).
+assigned to the cap). That index is 65 - bit_length(word), so the level is
+min(65 - bit_length(word), lambda_max): a pure function of the bit length.
 """
 
 from __future__ import annotations
@@ -61,21 +62,12 @@ class RandomSource:
         return self.generator.integers(0, _U64, size=int(n), dtype=np.uint64)
 
 
+_POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
 def _bit_length_u64(x: np.ndarray) -> np.ndarray:
-    """Vectorized int.bit_length for uint64 arrays (0 for zero)."""
-    x = x.astype(np.uint64, copy=True)
-    out = np.zeros(x.shape, dtype=np.int64)
-    for s in (32, 16, 8, 4, 2, 1):
-        big = x >= (np.uint64(1) << np.uint64(s))
-        out[big] += s
-        x[big] >>= np.uint64(s)
-    out += (x == np.uint64(1))
-    return out
-
-
-def _levels_from_raw(raw: np.ndarray, lambda_max: int) -> np.ndarray:
-    first_one = 65 - _bit_length_u64(raw)  # 1-based position from the top; 65 if zero
-    return np.minimum(first_one, lambda_max).astype(np.int64)
+    """Vectorized int.bit_length for uint64 arrays: the count of powers of two <= x."""
+    return np.searchsorted(_POW2, np.asarray(x, dtype=np.uint64), side="right")
 
 
 def _check_lambda_max(lambda_max: int) -> int:
@@ -95,4 +87,4 @@ def draw_lambda(rng: RandomSource, lambda_max: int = LAMBDA_CAP) -> DiscreteCont
 def draw_lambdas(rng: RandomSource, n: int, lambda_max: int = LAMBDA_CAP) -> np.ndarray:
     """Vector form of draw_lambda; same per-draw word consumption."""
     _check_lambda_max(lambda_max)
-    return _levels_from_raw(rng.raw64s(n), lambda_max)
+    return np.minimum(65 - _bit_length_u64(rng.raw64s(n)), lambda_max)

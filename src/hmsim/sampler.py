@@ -1,10 +1,13 @@
 """Monte Carlo runners and exact enumeration checks.
 
-Sampling is vectorized over trials but consumes one stream in trial order,
-so results are a pure function of (seed, stream_id, inputs): evaluation
-order and thread count cannot change them. Deterministic outcome tables are
-precomputed per experiment (the target probability is fixed across trials),
-so a trial costs one draw and one table lookup.
+Sampling consumes one stream in trial order, in fixed blocks of BLOCK_WORDS
+words, and keeps only integer counts, so results are a pure function of
+(seed, stream_id, inputs) and memory does not depend on the trial count.
+Deterministic outcome tables are precomputed per experiment (the target
+probability is fixed across trials). A discrete model counts the words of
+each bit length b and sums those counts over the b whose level
+min(65 - b, lambda_max) the table marks ALPHA; the continuous model counts
+the uniforms >= t.
 """
 
 from __future__ import annotations
@@ -33,7 +36,10 @@ from .histories import (
     inhomogeneous_probability,
 )
 from .hilbert import StateVector
-from .rng import RandomSource, _check_lambda_max, draw_lambdas
+from .rng import RandomSource, _bit_length_u64, _check_lambda_max
+
+# Words drawn per block: sampling memory is bounded by this, not by the trial count.
+BLOCK_WORDS = 1 << 16
 
 
 class Model(Enum):
@@ -115,21 +121,6 @@ def _model_table(model: Model, value: float, lambda_max: int) -> tuple[float, np
     raise DomainError(f"unknown model {model!r}")
 
 
-def _alpha_flags(
-    model: Model, value: float, n: int, rng: RandomSource, lambda_max: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """(expected_p, per-trial context values, per-trial ALPHA booleans)."""
-    if n < 1:
-        raise DomainError(f"trial count must be >= 1, got {n}")
-    _check_lambda_max(lambda_max)
-    expected, table = _model_table(model, value, lambda_max)
-    if model is Model.CONTINUOUS:
-        us = rng.uniforms(n)
-        return expected, us, us >= value
-    lams = draw_lambdas(rng, n, lambda_max)
-    return expected, lams, table[lams - 1]
-
-
 def run_dichotomic(
     model: Model,
     value: float,
@@ -142,8 +133,28 @@ def run_dichotomic(
     `value` is the target probability for GREEDY and the chord coordinate t
     for CONTINUOUS and GEOMETRIC (expected probability 1 - t).
     """
-    expected, _, flags = _alpha_flags(model, value, n, rng, lambda_max)
-    return summarize(n, int(flags.sum()), expected)
+    if n < 1:
+        raise DomainError(f"trial count must be >= 1, got {n}")
+    _check_lambda_max(lambda_max)
+    expected, table = _model_table(model, value, lambda_max)
+    blocks = [min(BLOCK_WORDS, n - start) for start in range(0, n, BLOCK_WORDS)]
+    if model is Model.CONTINUOUS:
+        count = sum(int(np.count_nonzero(rng.uniforms(m) >= value)) for m in blocks)
+    else:
+        by_bits = sum(np.bincount(_bit_length_u64(rng.raw64s(m)), minlength=65) for m in blocks)
+        level_of_bits = np.minimum(65 - np.arange(65), lambda_max)
+        count = int(by_bits[table[level_of_bits - 1]].sum())
+    return summarize(n, count, expected)
+
+
+def check_branch_sum(prob: float) -> float:
+    """An orhistory's probability, refused when above 1: one context model cannot realize it."""
+    if prob > 1.0:
+        raise DomainError(
+            f"branch procedure probabilities sum to {prob!r}; a sum beyond 1"
+            " cannot be realized by a single dichotomic context model"
+        )
+    return prob
 
 
 def run_history(
@@ -156,12 +167,7 @@ def run_history(
 ) -> FrequencySummary:
     """Sample the deterministic history outcome over drawn context levels."""
     if isinstance(a, InhomogeneousHistory):
-        prob = inhomogeneous_probability(p, a, convention)
-        if prob > 1.0:
-            raise DomainError(
-                f"branch procedure probabilities sum to {prob!r}; a sum beyond 1"
-                " cannot be realized by a single dichotomic context model"
-            )
+        prob = check_branch_sum(inhomogeneous_probability(p, a, convention))
     else:
         prob = history_probability(p, a, convention)
     return run_dichotomic(Model.GREEDY, prob, n, rng, lambda_max)

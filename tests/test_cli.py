@@ -303,6 +303,51 @@ def test_verify_refuses_both_p_and_file(capsys):
     assert "required" in err
 
 
+def test_verify_names_a_refused_flag_after_p(capsys):
+    # the refused flag's value must not be taken for the optional input file
+    code, out, err = run_cli(capsys, "verify", "--p", "0.3", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --seed" in err
+
+
+def test_history_computes_each_probability_once(capsys, monkeypatch, tmp_path):
+    # 2 branch rows and the "*" row of 2 branches, each under 2 conventions
+    import hmsim.cli
+    import hmsim.histories
+    import hmsim.sampler
+
+    real, counted = hmsim.histories.history_probability, []
+
+    def counting(*args):
+        counted.append(args)
+        return real(*args)
+
+    for module in (hmsim.cli, hmsim.histories, hmsim.sampler):
+        monkeypatch.setattr(module, "history_probability", counting)
+    orhist = tmp_path / "orhist.edl"
+    orhist.write_text(ORHIST_EDL)
+    code, _, _ = run_cli(capsys, "history", str(orhist), "--name", "AB", "--state", "plus",
+                         "--trials", "2000", "--no-timestamp")
+    assert (code, len(counted)) == (0, 8)
+
+
+def test_history_refuses_branch_sum_beyond_one(capsys, tmp_path):
+    src = tmp_path / "beyond.edl"
+    src.write_text(
+        "space Q dim 2;\n"
+        "state plus in Q = [0.7071067811865476, 0.7071067811865476];\n"
+        "state minus in Q = [0.7071067811865476, -0.7071067811865476];\n"
+        "proj P1 on Q = span [1];\nproj I on Q = span [0, 1];\n"
+        "proj Pp on Q = ketbra plus;\nproj Pm on Q = ketbra minus;\n"
+        "history A = [0.0: I, 1.0: Pp];\nhistory B = [0.0: P1, 1.0: Pm];\n"
+        "orhistory AB = or [A, B];\n")
+    code, out, err = run_cli(capsys, "history", str(src), "--name", "AB", "--state", "plus",
+                             "--trials", "100")
+    assert (code, out) == (2, "")
+    assert err == ("error: branch procedure probabilities sum to 1.2500000000000002; a sum"
+                   " beyond 1 cannot be realized by a single dichotomic context model\n")
+
+
 @pytest.mark.parametrize("model,extra", [
     ("greedy", ["--p", "0.3", "--t", "0.5"]),
     ("continuous", ["--t", "0.3", "--p", "0.5"]),

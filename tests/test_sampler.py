@@ -1,17 +1,25 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hmsim
 from hmsim.dichotomic import DichotomicOutcome, DyadicRule
 from hmsim.errors import DomainError
 from hmsim.hilbert import Projector, StateVector
 from hmsim.histories import Convention, HomogeneousHistory, InhomogeneousHistory
-from hmsim.rng import RandomSource
+from hmsim.rng import RandomSource, _bit_length_u64
 from hmsim.sampler import (
+    BLOCK_WORDS,
     Model,
-    _alpha_flags,
+    _model_table,
     exact_check,
     lambda_preimage,
     run_dichotomic,
@@ -24,6 +32,28 @@ INV2 = 1.0 / math.sqrt(2.0)
 PLUS = StateVector.of([INV2, INV2])
 P0 = Projector([[1.0, 0.0], [0.0, 0.0]])
 P1 = Projector([[0.0, 0.0], [0.0, 1.0]])
+
+
+def _bit_length_shift_loop(x: np.ndarray) -> np.ndarray:
+    """Six-pass shift-loop bit length of uint64 words (0 for zero); the slow oracle."""
+    x = x.astype(np.uint64, copy=True)
+    out = np.zeros(x.shape, dtype=np.int64)
+    for s in (32, 16, 8, 4, 2, 1):
+        big = x >= (np.uint64(1) << np.uint64(s))
+        out[big] += s
+        x[big] >>= np.uint64(s)
+    out += (x == np.uint64(1))
+    return out
+
+
+def _alpha_flags(model, value, n, rng, lambda_max):
+    """Per-trial oracle of run_dichotomic: (expected_p, contexts, ALPHA flags), one per trial."""
+    expected, table = _model_table(model, value, lambda_max)
+    if model is Model.CONTINUOUS:
+        us = rng.uniforms(n)
+        return expected, us, us >= value
+    lams = np.minimum(65 - _bit_length_shift_loop(rng.raw64s(n)), lambda_max)
+    return expected, lams, table[lams - 1]
 
 
 def test_certain_event_counts_everything():
@@ -66,6 +96,46 @@ def test_trial_contexts_have_expected_types():
             _, lams, _ = _alpha_flags(model, 0.5, 1000, RandomSource(0, 0), lambda_max)
             assert np.issubdtype(lams.dtype, np.integer)
             assert np.all(lams >= 1) and np.all(lams <= lambda_max)
+
+
+DYADIC = st.integers(1, 60).flatmap(lambda j: st.integers(0, 2**j).map(lambda k: k / 2**j))
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=st.sampled_from(list(Model)),
+       value=st.one_of(st.sampled_from([0.0, 1.0]), DYADIC, st.floats(0.0, 1.0)),
+       lambda_max=st.sampled_from([1, 2, 3, 59, 60]),
+       n=st.sampled_from([1, BLOCK_WORDS - 1, BLOCK_WORDS, BLOCK_WORDS + 1, 2 * BLOCK_WORDS + 3]),
+       seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 3))
+def test_blockwise_counts_match_per_trial_oracle(model, value, lambda_max, n, seed, stream):
+    s = run_dichotomic(model, value, n, RandomSource(seed, stream), lambda_max)
+    expected, _, flags = _alpha_flags(model, value, n, RandomSource(seed, stream), lambda_max)
+    assert (s.count_alpha, s.expected_p) == (int(flags.sum()), expected)
+
+
+NEAR_POWERS = st.integers(0, 64).flatmap(lambda k: st.sampled_from([2**k - 1, 2**k, 2**k + 1]))
+WORDS = st.one_of(st.integers(0, 2**64 - 1), NEAR_POWERS.filter(lambda w: 0 <= w < 2**64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(WORDS, min_size=1, max_size=40))
+def test_bit_length_matches_int_and_shift_loop(words):
+    x = np.array(words, dtype=np.uint64)
+    want = [w.bit_length() for w in words]
+    assert _bit_length_u64(x).tolist() == want == _bit_length_shift_loop(x).tolist()
+
+
+def test_sampling_memory_does_not_grow_with_trials(tmp_path):
+    # 20M trials; per-trial arrays of words, levels and flags would peak near 675 MB
+    argv = [sys.executable, "-m", "hmsim.cli", "sample", "--model", "greedy", "--p", "0.3",
+            "--trials", "20000000", "--no-timestamp"]
+    env = dict(os.environ, PYTHONPATH=str(Path(hmsim.__file__).parents[1]))
+    with open(tmp_path / "stderr", "wb") as err:
+        child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0, (tmp_path / "stderr").read_text()
+    assert usage.ru_maxrss * 1024 < 150 * 2**20  # ru_maxrss is in KiB on Linux
 
 
 def test_frequencies_near_expected():
