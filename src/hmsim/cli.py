@@ -130,26 +130,34 @@ def _load_experiment(path: str) -> Experiment:
     return elaborate(parse_bytes(_read_input(path)))
 
 
+def _grouped(pairs) -> dict:
+    """Names grouped by key, each group in the order given."""
+    groups: dict = {}
+    for name, key in pairs:
+        groups.setdefault(key, []).append(name)
+    return groups
+
+
 def _verify_targets(config: RunConfig, exp: Experiment) -> list[tuple[str, float]]:
-    """Every same-space (state, projector) Born value plus every matching
-    (state, history) probability under the configured convention."""
+    """For each state in declaration order: the Born value of every projector on
+    its space, then the probability, under the configured convention, of every
+    history and then every orhistory whose slots all have the state's dim."""
+    projectors = _grouped(exp.projector_spaces.items())
+    # keyed by the set of slot dims: a history with mixed dims matches no state
+    histories = _grouped((n, frozenset(h.factor_dims)) for n, h in exp.histories.items())
+    orhistories = _grouped((n, frozenset(o.branches[0].factor_dims))
+                           for n, o in exp.orhistories.items())
     targets: list[tuple[str, float]] = []
     for sname, state in exp.states.items():
-        space = exp.state_spaces[sname]
-        for pname, proj in exp.projectors.items():
-            if exp.projector_spaces[pname] == space:
-                targets.append((f"{sname}|{pname}", born_probability(state, proj)))
-        for hname, hist in exp.histories.items():
-            if all(d == state.space_dim for d in hist.factor_dims):
-                targets.append(
-                    (f"{sname}|{hname}", history_probability(state, hist, config.convention))
-                )
-        for oname, ohist in exp.orhistories.items():
-            if all(d == state.space_dim for d in ohist.branches[0].factor_dims):
-                targets.append(
-                    (f"{sname}|{oname}",
-                     inhomogeneous_probability(state, ohist, config.convention))
-                )
+        dims = frozenset([state.space_dim])
+        for pname in projectors.get(exp.state_spaces[sname], []):
+            targets.append((f"{sname}|{pname}", born_probability(state, exp.projectors[pname])))
+        for hname in histories.get(dims, []):
+            targets.append((f"{sname}|{hname}",
+                            history_probability(state, exp.histories[hname], config.convention)))
+        for oname in orhistories.get(dims, []):
+            targets.append((f"{sname}|{oname}", inhomogeneous_probability(
+                state, exp.orhistories[oname], config.convention)))
     return targets
 
 

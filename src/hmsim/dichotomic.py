@@ -20,6 +20,13 @@ All level decisions are made in exact fixed-point arithmetic: the scalar
 input is first rounded onto the ``2**-60`` grid, after which every
 comparison is an integer comparison. This makes the decompositions
 bit-identical across platforms.
+
+Both masks are read off the binary digits of the fixed-point numerator
+``num / 2**bits``: level i is decided by numerator bit ``bits - i``, and
+mask bit ``i - 1`` holds the answer, so a mask is the top ``depth`` digits
+in reverse order. The greedy rule takes the digits of the target itself (all
+levels when the target is 1). The parity rule takes the complement of the
+digits of t (no level when t is 1).
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -154,36 +162,33 @@ def _fixed_point(x: float) -> int:
     return round(x * float(1 << SCALE_BITS))
 
 
+def _reversed_digits(x: int, width: int) -> int:
+    """The low `width` binary digits of x in reverse order."""
+    return int(format(x & ((1 << width) - 1), f"0{width}b")[::-1], 2)
+
+
 def _greedy_alpha_mask(num: int, bits: int, depth: int) -> int:
-    """Greedy binary decomposition of num/2**bits down to level `depth`.
+    """Greedy binary decomposition of num/2**bits down to level `depth` <= `bits`.
 
     Level i is ALPHA iff the target is >= the running sum plus 2**-i, with
-    the comparison closed (>=), so exact hits are taken.
+    the comparison closed (>=), so exact hits are taken: that is numerator
+    bit bits-i, or every level for a target of 1.
     """
-    mask = 0
-    acc = 0
-    for i in range(1, depth + 1):
-        step = 1 << (bits - i)
-        if num >= acc + step:
-            mask |= 1 << (i - 1)
-            acc += step
-    return mask
+    if num >= 1 << bits:
+        return (1 << depth) - 1
+    return _reversed_digits(num >> (bits - depth), depth)
 
 
 def _parity_alpha_mask(t_num: int, bits: int, depth: int) -> int:
-    """Even-cell rule: level i is ALPHA iff floor(t * 2**i) is even.
+    """Even-cell rule: level i is ALPHA iff floor(t * 2**i) is even, i.e. iff
+    bit bits-i of t_num is clear (`depth` <= `bits`).
 
     t = 1 exactly never answers ALPHA, so that a state antipodal to the
     measurement direction has ALPHA probability exactly zero.
     """
     if t_num == 1 << bits:
         return 0
-    mask = 0
-    for i in range(1, depth + 1):
-        cell = t_num >> (bits - i)
-        if cell % 2 == 0:
-            mask |= 1 << (i - 1)
-    return mask
+    return _reversed_digits(~(t_num >> (bits - depth)), depth)
 
 
 @dataclass(frozen=True)
@@ -221,13 +226,10 @@ class DyadicExpansion:
             [(self.alpha_mask >> i) & 1 == 1 for i in range(self.depth)], dtype=bool
         )
 
-    @property
+    @cached_property
     def partial_sum_numerator(self) -> int:
-        acc = 0
-        for i in range(1, self.depth + 1):
-            if (self.alpha_mask >> (i - 1)) & 1:
-                acc += 1 << (self.bits - i)
-        return acc
+        """Sum of 2**(bits-i) over the ALPHA levels i: the mask's digits reversed."""
+        return _reversed_digits(self.alpha_mask, self.depth) << (self.bits - self.depth)
 
     @property
     def abs_error_numerator(self) -> int:

@@ -20,6 +20,9 @@ there is no ambiguity), and an INT is accepted anywhere a FLOAT is expected.
 A complex literal with both parts, like `0.5-0.5i`, is a single token.
 Angles are radians. Lexing is longest-match; keywords are reserved.
 
+`span [i, ...]` is the coordinate projector onto the basis vectors with
+those indices: a 0/1 diagonal matrix.
+
 Names are resolved top to bottom, so `ketbra`/`not`/history/orhistory
 references must point at declarations appearing earlier in the file.
 Histories and orhistories share one namespace so that a report can be
@@ -35,8 +38,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .dichotomic import qubit_from_angles
-from .errors import DegenerateSpanError, DisjointnessError, HmsimError
-from .hilbert import Projector, StateVector, complement_projector, ketbra, projector_from_span
+from .errors import DisjointnessError, HmsimError
+from .hilbert import Projector, StateVector, complement_projector, ketbra
 from .histories import HomogeneousHistory, InhomogeneousHistory
 
 MAX_SPACE_DIM = 64
@@ -46,9 +49,6 @@ KEYWORDS = frozenset(
     ["space", "dim", "state", "in", "bloch", "proj", "on", "span", "ketbra", "not",
      "history", "orhistory", "or"]
 )
-
-PUNCT_CHARS = ";=[](),:"
-
 
 class TokenKind(Enum):
     KEYWORD = "KEYWORD"
@@ -90,59 +90,41 @@ class ElaborationError(HmsimError):
 
 
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX_RE = re.compile(rf"(-?{_NUM})([+-])({_NUM})i(?![A-Za-z0-9_.])", re.ASCII)
-_FLOAT_RE = re.compile(
-    r"-?(?:(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)(?![A-Za-z0-9_.])", re.ASCII
-)
-_INT_RE = re.compile(r"-?\d+(?![A-Za-z0-9_.])", re.ASCII)
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*", re.ASCII)
+_END = r"(?![A-Za-z0-9_.])"  # a number may not run into a word or a further dot
+_COMPLEX_RE = re.compile(rf"(-?{_NUM})([+-])({_NUM})i{_END}", re.ASCII)
+# One alternation, tried in this order at each offset; `bad` catches what the others refuse.
+_TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pat})" for name, pat in (
+    ("COMPLEX", _COMPLEX_RE.pattern),
+    ("FLOAT", rf"-?(?:(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+){_END}"),
+    ("INT", rf"-?\d+{_END}"),
+    ("word", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("PUNCT", r"[;=\[\](),:]"),
+    ("blank", r"[ \t\r]+|#[^\n]*"),
+    ("newline", r"\n"),
+    ("bad", "."),
+)), re.ASCII | re.DOTALL)
 
 
 def tokenize(source: str) -> list[Token]:
     """Longest-match lexing with 1-based line/column positions."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "blank":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        for kind, pat in (
-            (TokenKind.COMPLEX, _COMPLEX_RE),
-            (TokenKind.FLOAT, _FLOAT_RE),
-            (TokenKind.INT, _INT_RE),
-        ):
-            m = pat.match(source, i)
-            if m:
-                tokens.append(Token(kind, m.group(0), line, col))
-                col += m.end() - i
-                i = m.end()
-                break
+        lexeme, col = m.group(), m.start() - line_start + 1
+        if kind == "word":
+            tokens.append(Token(TokenKind.KEYWORD if lexeme in KEYWORDS else TokenKind.IDENT,
+                                lexeme, line, col))
+        elif kind == "bad":
+            raise ParseError(f"illegal character {lexeme!r}", line, col)
         else:
-            m = _IDENT_RE.match(source, i)
-            if m:
-                word = m.group(0)
-                kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-                tokens.append(Token(kind, word, line, col))
-                col += len(word)
-                i = m.end()
-            elif c in PUNCT_CHARS:
-                tokens.append(Token(TokenKind.PUNCT, c, line, col))
-                i += 1
-                col += 1
-            else:
-                raise ParseError(f"illegal character {c!r}", line, col)
+            tokens.append(Token(TokenKind[kind], lexeme, line, col))
     return tokens
 
 
@@ -587,10 +569,7 @@ def elaborate(spec: ExperimentSpec) -> Experiment:
                 )
             if len(set(pr.body.indices)) != len(pr.body.indices):
                 raise ElaborationError(f"repeated span index in projector {pr.name!r}", *pr.pos)
-            try:
-                proj = projector_from_span([StateVector.basis(dim, i) for i in pr.body.indices])
-            except DegenerateSpanError as exc:  # unreachable for distinct basis indices
-                raise ElaborationError(str(exc), *pr.pos) from None
+            proj = Projector.coordinate(dim, pr.body.indices)
         elif isinstance(pr.body, KetbraForm):
             ref = pr.body.state
             if ref not in states:

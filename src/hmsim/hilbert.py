@@ -142,6 +142,11 @@ class Projector:
     def zero(cls, dim: int) -> "Projector":
         return cls(np.zeros((dim, dim), dtype=np.complex128))
 
+    @classmethod
+    def coordinate(cls, dim: int, indices: Iterable[int]) -> "Projector":
+        """0/1 diagonal projector onto the span of the basis vectors `indices`."""
+        return cls(np.diag(np.isin(np.arange(dim), list(indices))).astype(np.complex128))
+
     @property
     def space_dim(self) -> int:
         return int(self.matrix.shape[0])

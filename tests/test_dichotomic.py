@@ -20,8 +20,10 @@ from hmsim.dichotomic import (
     dyadic_outcome_geometric,
     dyadic_partial_sum,
     expand,
+    expand_geometric_t,
     qubit_from_angles,
 )
+from hmsim.dichotomic import _greedy_alpha_mask, _parity_alpha_mask
 from hmsim.errors import DomainError, InvariantError
 from hmsim.hilbert import StateVector, born_probability, ketbra
 
@@ -198,6 +200,74 @@ def test_models_diverge_at_three_quarters_but_sums_agree():
     geom = dyadic_partial_sum(0.75, 40, DyadicRule.GEOMETRIC)
     assert greedy == 0.75
     assert abs(0.75 - geom) <= 2.0**-40
+
+
+
+# The per-level loops that the binary-digit rule replaced, kept as oracles.
+def greedy_mask_loop(num: int, bits: int, depth: int) -> int:
+    mask = 0
+    acc = 0
+    for i in range(1, depth + 1):
+        step = 1 << (bits - i)
+        if num >= acc + step:
+            mask |= 1 << (i - 1)
+            acc += step
+    return mask
+
+
+def parity_mask_loop(t_num: int, bits: int, depth: int) -> int:
+    if t_num == 1 << bits:
+        return 0
+    mask = 0
+    for i in range(1, depth + 1):
+        cell = t_num >> (bits - i)
+        if cell % 2 == 0:
+            mask |= 1 << (i - 1)
+    return mask
+
+
+def partial_sum_loop(mask: int, bits: int, depth: int) -> int:
+    acc = 0
+    for i in range(1, depth + 1):
+        if (mask >> (i - 1)) & 1:
+            acc += 1 << (bits - i)
+    return acc
+
+
+dyadic_values = st.integers(0, 70).flatmap(
+    lambda j: st.integers(0, 2**j).map(lambda k: k / 2.0**j))
+# 2**-k and its float neighbours; the one above 2**0 = 1 is outside [0, 1]
+power_neighbours = st.integers(0, 1074).flatmap(lambda k: st.sampled_from(
+    [x for x in (math.nextafter(2.0**-k, 0.0), 2.0**-k, math.nextafter(2.0**-k, 2.0))
+     if x <= 1.0]))
+mask_values = st.one_of(
+    st.sampled_from([0.0, 1.0]), dyadic_values, power_neighbours,
+    st.floats(0.0, 2.0**-60), st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(mask_values, st.integers(1, 200))
+def test_masks_and_partial_sum_match_the_level_loops(value, depth):
+    greedy = expand(value, depth, DyadicRule.GREEDY)
+    bits, num = greedy.bits, greedy.numerator
+    assert greedy.alpha_mask == greedy_mask_loop(num, bits, depth)
+    for parity in (expand(value, depth, DyadicRule.GEOMETRIC), expand_geometric_t(value, depth)):
+        t_num = (1 << bits) - parity.numerator
+        assert parity.alpha_mask == parity_mask_loop(t_num, bits, depth)
+    for exp in (greedy, parity):
+        assert exp.partial_sum_numerator == partial_sum_loop(exp.alpha_mask, bits, depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_masks_match_the_level_loops_on_raw_numerators(data):
+    # every numerator on a grid of any width, not only those a float rounds onto
+    depth = data.draw(st.integers(1, 200))
+    bits = data.draw(st.integers(depth, 260))
+    num = data.draw(st.integers(0, 2**bits))
+    assert _greedy_alpha_mask(num, bits, depth) == greedy_mask_loop(num, bits, depth)
+    assert _parity_alpha_mask(num, bits, depth) == parity_mask_loop(num, bits, depth)
 
 
 def test_discrete_context_weights_exact():

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import hmsim
 from hmsim.edl import (
+    KEYWORDS,
     BlochForm,
     ElaborationError,
     ExperimentSpec,
@@ -288,6 +290,94 @@ def test_elaboration_is_deterministic():
         assert a.projectors[name].matrix.tobytes() == b.projectors[name].matrix.tobytes()
     for name in a.states:
         assert a.states[name].amplitudes.tobytes() == b.states[name].amplitudes.tobytes()
+
+
+
+# The per-character lexer that the single alternation replaced, kept as the oracle.
+_NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_ORACLE_PATTERNS = (
+    (TokenKind.COMPLEX,
+     re.compile(rf"(-?{_NUM})([+-])({_NUM})i(?![A-Za-z0-9_.])", re.ASCII)),
+    (TokenKind.FLOAT, re.compile(
+        r"-?(?:(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)(?![A-Za-z0-9_.])",
+        re.ASCII)),
+    (TokenKind.INT, re.compile(r"-?\d+(?![A-Za-z0-9_.])", re.ASCII)),
+)
+_ORACLE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*", re.ASCII)
+
+
+def tokenize_oracle(source: str) -> list[Token]:
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i, n = 0, len(source)
+    while i < n:
+        c = source[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        for kind, pat in _ORACLE_PATTERNS:
+            m = pat.match(source, i)
+            if m:
+                tokens.append(Token(kind, m.group(0), line, col))
+                col += m.end() - i
+                i = m.end()
+                break
+        else:
+            m = _ORACLE_IDENT.match(source, i)
+            if m:
+                word = m.group(0)
+                kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
+                tokens.append(Token(kind, word, line, col))
+                col += len(word)
+                i = m.end()
+            elif c in ";=[](),:":
+                tokens.append(Token(TokenKind.PUNCT, c, line, col))
+                i += 1
+                col += 1
+            else:
+                raise ParseError(f"illegal character {c!r}", line, col)
+    return tokens
+
+
+def _lex(lexer, text):
+    try:
+        return lexer(text)
+    except ParseError as exc:
+        return (exc.message, exc.line, exc.column)
+
+
+EDL_FRAGMENTS = sorted(KEYWORDS) + [
+    "Q", "p_0", "_x9", "2", "-17", "007", "1.", ".5", "-2.5e-3", "1e9", "3E+2", "1e",
+    "0.5-0.5i", "1+2i", "-.5+1e3i", "2i", "1.2.3", "12ab", ";", "=", "[", "]", "(", ")",
+    ",", ":", " ", "  ", "\t", "\r", "\n", "\r\n", "# a comment", "#", "é", "€", "Ω", "٣",
+    " ", "\x0b", "\x0c", "@", "$", "-", "+", ".", "!", "\x00",
+]
+edl_like_text = st.lists(
+    st.sampled_from(EDL_FRAGMENTS) | st.text(alphabet="0123456789.eEi+-_ aZ\n#;", max_size=4),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(edl_like_text)
+def test_tokenize_matches_the_per_character_lexer(text):
+    assert _lex(tokenize, text) == _lex(tokenize_oracle, text)
+
+
+def test_tokenize_matches_the_per_character_lexer_on_the_corpus():
+    for path in sorted(CORPUS.glob("*.edl")):
+        text = path.read_bytes().decode("utf-8", errors="replace")
+        assert _lex(tokenize, text) == _lex(tokenize_oracle, text), path.name
 
 
 @settings(max_examples=400, deadline=None)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -58,6 +59,18 @@ def test_inner_product_dimension_mismatch():
 def test_projector_from_span_basis_vectors():
     assert np.allclose(projector_from_span([E0]).matrix, P0.matrix)
     assert np.allclose(projector_from_span([E0, E1]).matrix, np.eye(2))
+
+
+def test_coordinate_projector_is_the_span_of_its_basis_vectors(rng):
+    # every ordered index set up to dim 6, then random ones up to dim 64
+    cases = [(dim, idx) for dim in range(1, 7) for k in range(1, dim + 1)
+             for idx in itertools.permutations(range(dim), k)]
+    for _ in range(200):
+        dim = int(rng.integers(1, 65))
+        cases.append((dim, rng.permutation(dim)[: rng.integers(1, dim + 1)].tolist()))
+    for dim, idx in cases:
+        span = projector_from_span([StateVector.basis(dim, i) for i in idx])
+        assert Projector.coordinate(dim, idx).matrix.tobytes() == span.matrix.tobytes()
 
 
 def test_projector_from_span_plus_state():
