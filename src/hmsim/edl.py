@@ -19,6 +19,7 @@ literals may carry a leading minus sign (the grammar has no operators, so
 there is no ambiguity), and an INT is accepted anywhere a FLOAT is expected.
 A complex literal with both parts, like `0.5-0.5i`, is a single token.
 Angles are radians. Lexing is longest-match; keywords are reserved.
+`tokenize` returns `Token` named tuples `(kind, lexeme, line, column)`.
 
 `span [i, ...]` is the coordinate projector onto the basis vectors with
 those indices: a 0/1 diagonal matrix.
@@ -36,6 +37,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, NamedTuple, TypeVar
 
 from .dichotomic import qubit_from_angles
 from .errors import DisjointnessError, HmsimError
@@ -59,8 +61,7 @@ class TokenKind(Enum):
     PUNCT = "PUNCT"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     lexeme: str
     line: int
@@ -207,6 +208,23 @@ class ExperimentSpec:
 # Parser
 
 
+# statement keyword -> (ExperimentSpec fields its name must be new in, word for a duplicate)
+_STATEMENTS = {
+    "space": (("spaces",), "space"),
+    "state": (("states",), "state"),
+    "proj": (("projectors",), "projector"),
+    "history": (("histories", "orhistories"), "history"),
+    "orhistory": (("orhistories", "histories"), "history"),
+}
+
+
+_T = TypeVar("_T")
+
+
+def _found(tok: Token, expected: str) -> ParseError:
+    return ParseError(f"found {tok.lexeme!r}", tok.line, tok.column, expected=expected)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -217,96 +235,28 @@ class _Parser:
         else:
             self.eof_pos = (1, 1)
 
-    def at_end(self) -> bool:
-        return self.i >= len(self.tokens)
-
     def peek(self) -> Token | None:
-        return None if self.at_end() else self.tokens[self.i]
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def error(self, message: str, expected: str | None = None) -> ParseError:
+    def take(self, expected: str, *kinds: TokenKind, lexeme: str | None = None) -> Token:
+        """Consume the next token if it is one of `kinds` (and reads `lexeme`, if given)."""
         tok = self.peek()
         if tok is None:
-            return ParseError(message + " at end of input", *self.eof_pos, expected=expected)
-        return ParseError(message, tok.line, tok.column, expected=expected)
-
-    def advance(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("unexpected end of input")
+            raise ParseError("found end of input", *self.eof_pos, expected=expected)
+        if tok.kind not in kinds or (lexeme is not None and tok.lexeme != lexeme):
+            raise _found(tok, expected)
         self.i += 1
         return tok
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind is not TokenKind.KEYWORD or tok.lexeme != word:
-            got = "end of input" if tok is None else f"{tok.lexeme!r}"
-            raise self.error(f"found {got}", expected=f"'{word}'")
-        return self.advance()
-
-    def expect_punct(self, ch: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind is not TokenKind.PUNCT or tok.lexeme != ch:
-            got = "end of input" if tok is None else f"{tok.lexeme!r}"
-            raise self.error(f"found {got}", expected=f"'{ch}'")
-        return self.advance()
-
-    def expect_ident(self) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind is not TokenKind.IDENT:
-            got = "end of input" if tok is None else f"{tok.lexeme!r}"
-            raise self.error(f"found {got}", expected="identifier")
-        return self.advance()
-
-    def match_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok.kind is TokenKind.PUNCT and tok.lexeme == ch:
-            self.advance()
-            return True
-        return False
-
-    def _to_int(self, tok: Token) -> int:
-        try:
-            return int(tok.lexeme)
-        except ValueError:  # e.g. beyond the interpreter's digit limit
-            raise ParseError("integer literal out of range", tok.line, tok.column) from None
-
-    def _to_float(self, tok_or_text, line: int, column: int) -> float:
-        text = tok_or_text if isinstance(tok_or_text, str) else tok_or_text.lexeme
-        try:
-            return float(text)
-        except ValueError:
-            raise ParseError("numeric literal out of range", line, column) from None
-
-    def expect_int(self) -> int:
-        tok = self.peek()
-        if tok is None or tok.kind is not TokenKind.INT:
-            got = "end of input" if tok is None else f"{tok.lexeme!r}"
-            raise self.error(f"found {got}", expected="integer")
-        self.advance()
-        return self._to_int(tok)
-
-    def expect_number(self) -> float:
-        """INT or FLOAT where the grammar says FLOAT."""
-        tok = self.peek()
-        if tok is None or tok.kind not in (TokenKind.INT, TokenKind.FLOAT):
-            got = "end of input" if tok is None else f"{tok.lexeme!r}"
-            raise self.error(f"found {got}", expected="number")
-        self.advance()
-        return self._to_float(tok, tok.line, tok.column)
-
-    def expect_complex(self) -> complex:
-        tok = self.peek()
-        if tok is None or tok.kind not in (TokenKind.INT, TokenKind.FLOAT, TokenKind.COMPLEX):
-            got = "end of input" if tok is None else f"{tok.lexeme!r}"
-            raise self.error(f"found {got}", expected="complex number")
-        self.advance()
-        if tok.kind is TokenKind.COMPLEX:
-            m = _COMPLEX_RE.match(tok.lexeme)
-            assert m is not None and m.end() == len(tok.lexeme)
-            re_part = self._to_float(m.group(1), tok.line, tok.column)
-            im_part = self._to_float(m.group(2) + m.group(3), tok.line, tok.column)
-            return complex(re_part, im_part)
-        return complex(self._to_float(tok, tok.line, tok.column), 0.0)
+    def bracketed(self, item: Callable[[], _T]) -> tuple[_T, ...]:
+        """`[` item {`,` item} `]`"""
+        self.take("'['", TokenKind.PUNCT, lexeme="[")
+        items = [item()]
+        while (sep := self.take("']'", TokenKind.PUNCT)).lexeme == ",":
+            items.append(item())
+        if sep.lexeme != "]":
+            raise _found(sep, "']'")
+        return tuple(items)
 
 
 def parse(tokens: list[Token]) -> ExperimentSpec:
@@ -314,121 +264,86 @@ def parse(tokens: list[Token]) -> ExperimentSpec:
     p = _Parser(tokens)
     spec = ExperimentSpec()
 
-    def check_unique(ns: dict, name_tok: Token, what: str, also: dict | None = None):
-        if name_tok.lexeme in ns or (also is not None and name_tok.lexeme in also):
-            raise ParseError(
-                f"duplicate {what} name {name_tok.lexeme!r}", name_tok.line, name_tok.column
-            )
+    def sym(lexeme: str, kind: TokenKind = TokenKind.PUNCT) -> Token:
+        return p.take(f"'{lexeme}'", kind, lexeme=lexeme)
 
-    while not p.at_end():
-        tok = p.peek()
-        assert tok is not None
-        if tok.kind is not TokenKind.KEYWORD:
-            raise p.error(f"found {tok.lexeme!r}", expected="a statement keyword")
-        if tok.lexeme == "space":
-            p.advance()
-            name = p.expect_ident()
-            check_unique(spec.spaces, name, "space")
-            p.expect_keyword("dim")
-            dim = p.expect_int()
-            p.expect_punct(";")
-            spec.spaces[name.lexeme] = SpaceDecl(name.lexeme, dim, (name.line, name.column))
-        elif tok.lexeme == "state":
-            p.advance()
-            name = p.expect_ident()
-            check_unique(spec.states, name, "state")
-            p.expect_keyword("in")
-            space = p.expect_ident()
-            p.expect_punct("=")
+    def ident() -> str:
+        return p.take("identifier", TokenKind.IDENT).lexeme
+
+    def number() -> float:
+        """INT or FLOAT where the grammar says FLOAT."""
+        return float(p.take("number", TokenKind.INT, TokenKind.FLOAT).lexeme)
+
+    def integer() -> int:
+        tok = p.take("integer", TokenKind.INT)
+        try:
+            return int(tok.lexeme)
+        except ValueError:  # e.g. beyond the interpreter's digit limit
+            raise ParseError("integer literal out of range", tok.line, tok.column) from None
+
+    def amplitude() -> complex:
+        tok = p.take("complex number", TokenKind.INT, TokenKind.FLOAT, TokenKind.COMPLEX)
+        if tok.kind is TokenKind.COMPLEX:
+            re_part, sign, im_part = _COMPLEX_RE.match(tok.lexeme).groups()
+            return complex(float(re_part), float(sign + im_part))
+        return complex(float(tok.lexeme), 0.0)
+
+    def step() -> tuple[float, str]:
+        t = number()
+        sym(":")
+        return t, ident()
+
+    while p.peek() is not None:
+        kw = p.take("a statement keyword", TokenKind.KEYWORD)
+        if kw.lexeme not in _STATEMENTS:
+            raise _found(kw, "a statement keyword")
+        fields, word = _STATEMENTS[kw.lexeme]
+        name_tok = p.take("identifier", TokenKind.IDENT)
+        name, pos = name_tok.lexeme, (name_tok.line, name_tok.column)
+        if any(name in getattr(spec, f) for f in fields):
+            raise ParseError(f"duplicate {word} name {name!r}", *pos)
+        if kw.lexeme == "space":
+            sym("dim", TokenKind.KEYWORD)
+            decl = SpaceDecl(name, integer(), pos)
+        elif kw.lexeme == "state":
+            sym("in", TokenKind.KEYWORD)
+            space = ident()
+            sym("=")
             nxt = p.peek()
             if nxt is not None and nxt.kind is TokenKind.KEYWORD and nxt.lexeme == "bloch":
-                p.advance()
-                p.expect_punct("(")
-                theta = p.expect_number()
-                p.expect_punct(",")
-                phi = p.expect_number()
-                p.expect_punct(")")
+                sym("bloch", TokenKind.KEYWORD)
+                sym("(")
+                theta = number()
+                sym(",")
+                phi = number()
+                sym(")")
                 body: tuple[complex, ...] | BlochForm = BlochForm(theta, phi)
             else:
-                p.expect_punct("[")
-                amps = [p.expect_complex()]
-                while p.match_punct(","):
-                    amps.append(p.expect_complex())
-                p.expect_punct("]")
-                body = tuple(amps)
-            p.expect_punct(";")
-            spec.states[name.lexeme] = StateDecl(
-                name.lexeme, space.lexeme, body, (name.line, name.column)
-            )
-        elif tok.lexeme == "proj":
-            p.advance()
-            name = p.expect_ident()
-            check_unique(spec.projectors, name, "projector")
-            p.expect_keyword("on")
-            space = p.expect_ident()
-            p.expect_punct("=")
-            nxt = p.peek()
-            if nxt is None or nxt.kind is not TokenKind.KEYWORD:
-                raise p.error(
-                    "found " + ("end of input" if nxt is None else repr(nxt.lexeme)),
-                    expected="'span', 'ketbra' or 'not'",
-                )
-            if nxt.lexeme == "span":
-                p.advance()
-                p.expect_punct("[")
-                idxs = [p.expect_int()]
-                while p.match_punct(","):
-                    idxs.append(p.expect_int())
-                p.expect_punct("]")
-                body: SpanForm | KetbraForm | NotForm = SpanForm(tuple(idxs))
-            elif nxt.lexeme == "ketbra":
-                p.advance()
-                body = KetbraForm(p.expect_ident().lexeme)
-            elif nxt.lexeme == "not":
-                p.advance()
-                body = NotForm(p.expect_ident().lexeme)
+                body = p.bracketed(amplitude)
+            decl = StateDecl(name, space, body, pos)
+        elif kw.lexeme == "proj":
+            sym("on", TokenKind.KEYWORD)
+            space = ident()
+            sym("=")
+            form = p.take("'span', 'ketbra' or 'not'", TokenKind.KEYWORD)
+            if form.lexeme == "span":
+                proj_body: SpanForm | KetbraForm | NotForm = SpanForm(p.bracketed(integer))
+            elif form.lexeme == "ketbra":
+                proj_body = KetbraForm(ident())
+            elif form.lexeme == "not":
+                proj_body = NotForm(ident())
             else:
-                raise p.error(f"found {nxt.lexeme!r}", expected="'span', 'ketbra' or 'not'")
-            p.expect_punct(";")
-            spec.projectors[name.lexeme] = ProjDecl(
-                name.lexeme, space.lexeme, body, (name.line, name.column)
-            )
-        elif tok.lexeme == "history":
-            p.advance()
-            name = p.expect_ident()
-            check_unique(spec.histories, name, "history", also=spec.orhistories)
-            p.expect_punct("=")
-            p.expect_punct("[")
-            steps = []
-            t = p.expect_number()
-            p.expect_punct(":")
-            steps.append((t, p.expect_ident().lexeme))
-            while p.match_punct(","):
-                t = p.expect_number()
-                p.expect_punct(":")
-                steps.append((t, p.expect_ident().lexeme))
-            p.expect_punct("]")
-            p.expect_punct(";")
-            spec.histories[name.lexeme] = HistoryDecl(
-                name.lexeme, tuple(steps), (name.line, name.column)
-            )
-        elif tok.lexeme == "orhistory":
-            p.advance()
-            name = p.expect_ident()
-            check_unique(spec.orhistories, name, "history", also=spec.histories)
-            p.expect_punct("=")
-            p.expect_keyword("or")
-            p.expect_punct("[")
-            branches = [p.expect_ident().lexeme]
-            while p.match_punct(","):
-                branches.append(p.expect_ident().lexeme)
-            p.expect_punct("]")
-            p.expect_punct(";")
-            spec.orhistories[name.lexeme] = OrHistoryDecl(
-                name.lexeme, tuple(branches), (name.line, name.column)
-            )
+                raise _found(form, "'span', 'ketbra' or 'not'")
+            decl = ProjDecl(name, space, proj_body, pos)
+        elif kw.lexeme == "history":
+            sym("=")
+            decl = HistoryDecl(name, p.bracketed(step), pos)
         else:
-            raise p.error(f"found {tok.lexeme!r}", expected="a statement keyword")
+            sym("=")
+            sym("or", TokenKind.KEYWORD)
+            decl = OrHistoryDecl(name, p.bracketed(ident), pos)
+        sym(";")
+        getattr(spec, fields[0])[name] = decl
     return spec
 
 
@@ -514,6 +429,12 @@ def _require_finite(values, what: str, pos: Pos) -> None:
             raise ElaborationError(f"non-finite value in {what}", *pos)
 
 
+def _resolve(table: dict[str, _T], ref: str, what: str, pos: Pos) -> _T:
+    if ref not in table:
+        raise ElaborationError(f"unresolved {what} name {ref!r}", *pos)
+    return table[ref]
+
+
 def elaborate(spec: ExperimentSpec) -> Experiment:
     """Resolve names, check dimensions, normalize states, verify disjointness."""
     spaces: dict[str, int] = {}
@@ -527,9 +448,7 @@ def elaborate(spec: ExperimentSpec) -> Experiment:
     states: dict[str, StateVector] = {}
     state_spaces: dict[str, str] = {}
     for st in spec.states.values():
-        if st.space not in spaces:
-            raise ElaborationError(f"unresolved space name {st.space!r}", *st.pos)
-        dim = spaces[st.space]
+        dim = _resolve(spaces, st.space, "space", st.pos)
         if isinstance(st.body, BlochForm):
             if dim != 2:
                 raise ElaborationError(
@@ -558,9 +477,7 @@ def elaborate(spec: ExperimentSpec) -> Experiment:
     projectors: dict[str, Projector] = {}
     projector_spaces: dict[str, str] = {}
     for pr in spec.projectors.values():
-        if pr.space not in spaces:
-            raise ElaborationError(f"unresolved space name {pr.space!r}", *pr.pos)
-        dim = spaces[pr.space]
+        dim = _resolve(spaces, pr.space, "space", pr.pos)
         if isinstance(pr.body, SpanForm):
             bad = [i for i in pr.body.indices if not 0 <= i < dim]
             if bad:
@@ -572,24 +489,22 @@ def elaborate(spec: ExperimentSpec) -> Experiment:
             proj = Projector.coordinate(dim, pr.body.indices)
         elif isinstance(pr.body, KetbraForm):
             ref = pr.body.state
-            if ref not in states:
-                raise ElaborationError(f"unresolved state name {ref!r}", *pr.pos)
+            vec = _resolve(states, ref, "state", pr.pos)
             if state_spaces[ref] != pr.space:
                 raise ElaborationError(
                     f"projector {pr.name!r} on {pr.space!r} refers to state {ref!r}"
                     f" in {state_spaces[ref]!r}", *pr.pos
                 )
-            proj = ketbra(states[ref])
+            proj = ketbra(vec)
         else:
             ref = pr.body.projector
-            if ref not in projectors:
-                raise ElaborationError(f"unresolved projector name {ref!r}", *pr.pos)
+            complemented = _resolve(projectors, ref, "projector", pr.pos)
             if projector_spaces[ref] != pr.space:
                 raise ElaborationError(
                     f"projector {pr.name!r} on {pr.space!r} complements {ref!r}"
                     f" on {projector_spaces[ref]!r}", *pr.pos
                 )
-            proj = complement_projector(projectors[ref])
+            proj = complement_projector(complemented)
         projectors[pr.name] = proj
         projector_spaces[pr.name] = pr.space
 
@@ -601,20 +516,12 @@ def elaborate(spec: ExperimentSpec) -> Experiment:
             raise ElaborationError(
                 f"history {h.name!r} has non-increasing times {times}", *h.pos
             )
-        slot_projs = []
-        for _, ref in h.steps:
-            if ref not in projectors:
-                raise ElaborationError(f"unresolved projector name {ref!r}", *h.pos)
-            slot_projs.append(projectors[ref])
+        slot_projs = [_resolve(projectors, ref, "projector", h.pos) for _, ref in h.steps]
         histories[h.name] = HomogeneousHistory.at_times(times, slot_projs)
 
     orhistories: dict[str, InhomogeneousHistory] = {}
     for oh in spec.orhistories.values():
-        branches = []
-        for ref in oh.branches:
-            if ref not in histories:
-                raise ElaborationError(f"unresolved history name {ref!r}", *oh.pos)
-            branches.append(histories[ref])
+        branches = [_resolve(histories, ref, "history", oh.pos) for ref in oh.branches]
         base = branches[0]
         for ref, b in zip(oh.branches[1:], branches[1:]):
             if b.support != base.support or b.factor_dims != base.factor_dims:

@@ -17,7 +17,9 @@ from hmsim.edl import (
     ElaborationError,
     ExperimentSpec,
     HistoryDecl,
+    KetbraForm,
     NotForm,
+    OrHistoryDecl,
     ParseError,
     ProjDecl,
     SpaceDecl,
@@ -25,6 +27,7 @@ from hmsim.edl import (
     StateDecl,
     Token,
     TokenKind,
+    _COMPLEX_RE,
     elaborate,
     parse,
     parse_bytes,
@@ -61,6 +64,9 @@ def test_tokenize_statement():
         (TokenKind.PUNCT, ";"),
     ]
     assert toks[0] == Token(TokenKind.KEYWORD, "space", 1, 1)
+    assert toks[0] == (TokenKind.KEYWORD, "space", 1, 1)
+    kind, lexeme, line, column = toks[1]
+    assert (kind, lexeme, line, column) == (TokenKind.IDENT, "Q", 1, 7)
     assert toks[3].column == 13
 
 
@@ -187,6 +193,34 @@ def test_elaborate_unresolved_projector_position():
         elaborate(parse_text("space Q dim 2;\nproj P1 on Q = not P0;\n"))
     assert (err.value.line, err.value.column) == (2, 6)
     assert "P0" in str(err.value)
+
+
+# One case per name-resolution site: state space, projector space, ketbra state,
+# not projector, history slot, orhistory branch. Texts and positions were
+# recorded before the sites were folded into one lookup.
+UNRESOLVED_NAMES = [
+    ("space Q dim 2;\n  state s in X = [1, 0];\n",
+     "line 2 col 9: unresolved space name 'X'", 2, 9),
+    ("space Q dim 2;\nproj P on X = span [0];\n",
+     "line 2 col 6: unresolved space name 'X'", 2, 6),
+    ("space Q dim 2;\n\n proj P on Q = ketbra s;\n",
+     "line 3 col 7: unresolved state name 's'", 3, 7),
+    ("space Q dim 2;\nproj P0 on Q = span [0];\nproj P on Q = not R;\n",
+     "line 3 col 6: unresolved projector name 'R'", 3, 6),
+    ("space Q dim 2;\nproj P0 on Q = span [0];\nhistory H = [0: P0, 1.5: R];\n",
+     "line 3 col 9: unresolved projector name 'R'", 3, 9),
+    ("space Q dim 2;\nproj P0 on Q = span [0];\nhistory H = [0: P0];\n"
+     "   orhistory O = or [H, G];\n",
+     "line 4 col 14: unresolved history name 'G'", 4, 14),
+]
+
+
+@pytest.mark.parametrize("source, text, line, column", UNRESOLVED_NAMES)
+def test_unresolved_names_keep_their_text_and_position(source, text, line, column):
+    with pytest.raises(ElaborationError) as err:
+        elaborate(parse_text(source))
+    assert str(err.value) == text
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_elaborate_dimension_mismatch():
@@ -398,3 +432,301 @@ def test_fuzz_text_never_crash(text):
     except ParseError:
         return
     assert isinstance(spec, ExperimentSpec)
+
+
+# The parser before it was rebuilt on one `take` primitive, kept as the oracle.
+class _OracleParser:
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.i = 0
+        if tokens:
+            last = tokens[-1]
+            self.eof_pos = (last.line, last.column + len(last.lexeme))
+        else:
+            self.eof_pos = (1, 1)
+
+    def at_end(self) -> bool:
+        return self.i >= len(self.tokens)
+
+    def peek(self) -> Token | None:
+        return None if self.at_end() else self.tokens[self.i]
+
+    def error(self, message: str, expected: str | None = None) -> ParseError:
+        tok = self.peek()
+        if tok is None:
+            return ParseError(message + " at end of input", *self.eof_pos, expected=expected)
+        return ParseError(message, tok.line, tok.column, expected=expected)
+
+    def advance(self) -> Token:
+        tok = self.peek()
+        if tok is None:
+            raise self.error("unexpected end of input")
+        self.i += 1
+        return tok
+
+    def expect_keyword(self, word: str) -> Token:
+        tok = self.peek()
+        if tok is None or tok.kind is not TokenKind.KEYWORD or tok.lexeme != word:
+            got = "end of input" if tok is None else f"{tok.lexeme!r}"
+            raise self.error(f"found {got}", expected=f"'{word}'")
+        return self.advance()
+
+    def expect_punct(self, ch: str) -> Token:
+        tok = self.peek()
+        if tok is None or tok.kind is not TokenKind.PUNCT or tok.lexeme != ch:
+            got = "end of input" if tok is None else f"{tok.lexeme!r}"
+            raise self.error(f"found {got}", expected=f"'{ch}'")
+        return self.advance()
+
+    def expect_ident(self) -> Token:
+        tok = self.peek()
+        if tok is None or tok.kind is not TokenKind.IDENT:
+            got = "end of input" if tok is None else f"{tok.lexeme!r}"
+            raise self.error(f"found {got}", expected="identifier")
+        return self.advance()
+
+    def match_punct(self, ch: str) -> bool:
+        tok = self.peek()
+        if tok is not None and tok.kind is TokenKind.PUNCT and tok.lexeme == ch:
+            self.advance()
+            return True
+        return False
+
+    def _to_int(self, tok: Token) -> int:
+        try:
+            return int(tok.lexeme)
+        except ValueError:  # e.g. beyond the interpreter's digit limit
+            raise ParseError("integer literal out of range", tok.line, tok.column) from None
+
+    def _to_float(self, tok_or_text, line: int, column: int) -> float:
+        text = tok_or_text if isinstance(tok_or_text, str) else tok_or_text.lexeme
+        try:
+            return float(text)
+        except ValueError:
+            raise ParseError("numeric literal out of range", line, column) from None
+
+    def expect_int(self) -> int:
+        tok = self.peek()
+        if tok is None or tok.kind is not TokenKind.INT:
+            got = "end of input" if tok is None else f"{tok.lexeme!r}"
+            raise self.error(f"found {got}", expected="integer")
+        self.advance()
+        return self._to_int(tok)
+
+    def expect_number(self) -> float:
+        """INT or FLOAT where the grammar says FLOAT."""
+        tok = self.peek()
+        if tok is None or tok.kind not in (TokenKind.INT, TokenKind.FLOAT):
+            got = "end of input" if tok is None else f"{tok.lexeme!r}"
+            raise self.error(f"found {got}", expected="number")
+        self.advance()
+        return self._to_float(tok, tok.line, tok.column)
+
+    def expect_complex(self) -> complex:
+        tok = self.peek()
+        if tok is None or tok.kind not in (TokenKind.INT, TokenKind.FLOAT, TokenKind.COMPLEX):
+            got = "end of input" if tok is None else f"{tok.lexeme!r}"
+            raise self.error(f"found {got}", expected="complex number")
+        self.advance()
+        if tok.kind is TokenKind.COMPLEX:
+            m = _COMPLEX_RE.match(tok.lexeme)
+            assert m is not None and m.end() == len(tok.lexeme)
+            re_part = self._to_float(m.group(1), tok.line, tok.column)
+            im_part = self._to_float(m.group(2) + m.group(3), tok.line, tok.column)
+            return complex(re_part, im_part)
+        return complex(self._to_float(tok, tok.line, tok.column), 0.0)
+
+
+def parse_oracle(tokens: list[Token]) -> ExperimentSpec:
+    """Build the AST; stops at the first syntax error (no recovery)."""
+    p = _OracleParser(tokens)
+    spec = ExperimentSpec()
+
+    def check_unique(ns: dict, name_tok: Token, what: str, also: dict | None = None):
+        if name_tok.lexeme in ns or (also is not None and name_tok.lexeme in also):
+            raise ParseError(
+                f"duplicate {what} name {name_tok.lexeme!r}", name_tok.line, name_tok.column
+            )
+
+    while not p.at_end():
+        tok = p.peek()
+        assert tok is not None
+        if tok.kind is not TokenKind.KEYWORD:
+            raise p.error(f"found {tok.lexeme!r}", expected="a statement keyword")
+        if tok.lexeme == "space":
+            p.advance()
+            name = p.expect_ident()
+            check_unique(spec.spaces, name, "space")
+            p.expect_keyword("dim")
+            dim = p.expect_int()
+            p.expect_punct(";")
+            spec.spaces[name.lexeme] = SpaceDecl(name.lexeme, dim, (name.line, name.column))
+        elif tok.lexeme == "state":
+            p.advance()
+            name = p.expect_ident()
+            check_unique(spec.states, name, "state")
+            p.expect_keyword("in")
+            space = p.expect_ident()
+            p.expect_punct("=")
+            nxt = p.peek()
+            if nxt is not None and nxt.kind is TokenKind.KEYWORD and nxt.lexeme == "bloch":
+                p.advance()
+                p.expect_punct("(")
+                theta = p.expect_number()
+                p.expect_punct(",")
+                phi = p.expect_number()
+                p.expect_punct(")")
+                body: tuple[complex, ...] | BlochForm = BlochForm(theta, phi)
+            else:
+                p.expect_punct("[")
+                amps = [p.expect_complex()]
+                while p.match_punct(","):
+                    amps.append(p.expect_complex())
+                p.expect_punct("]")
+                body = tuple(amps)
+            p.expect_punct(";")
+            spec.states[name.lexeme] = StateDecl(
+                name.lexeme, space.lexeme, body, (name.line, name.column)
+            )
+        elif tok.lexeme == "proj":
+            p.advance()
+            name = p.expect_ident()
+            check_unique(spec.projectors, name, "projector")
+            p.expect_keyword("on")
+            space = p.expect_ident()
+            p.expect_punct("=")
+            nxt = p.peek()
+            if nxt is None or nxt.kind is not TokenKind.KEYWORD:
+                raise p.error(
+                    "found " + ("end of input" if nxt is None else repr(nxt.lexeme)),
+                    expected="'span', 'ketbra' or 'not'",
+                )
+            if nxt.lexeme == "span":
+                p.advance()
+                p.expect_punct("[")
+                idxs = [p.expect_int()]
+                while p.match_punct(","):
+                    idxs.append(p.expect_int())
+                p.expect_punct("]")
+                body: SpanForm | KetbraForm | NotForm = SpanForm(tuple(idxs))
+            elif nxt.lexeme == "ketbra":
+                p.advance()
+                body = KetbraForm(p.expect_ident().lexeme)
+            elif nxt.lexeme == "not":
+                p.advance()
+                body = NotForm(p.expect_ident().lexeme)
+            else:
+                raise p.error(f"found {nxt.lexeme!r}", expected="'span', 'ketbra' or 'not'")
+            p.expect_punct(";")
+            spec.projectors[name.lexeme] = ProjDecl(
+                name.lexeme, space.lexeme, body, (name.line, name.column)
+            )
+        elif tok.lexeme == "history":
+            p.advance()
+            name = p.expect_ident()
+            check_unique(spec.histories, name, "history", also=spec.orhistories)
+            p.expect_punct("=")
+            p.expect_punct("[")
+            steps = []
+            t = p.expect_number()
+            p.expect_punct(":")
+            steps.append((t, p.expect_ident().lexeme))
+            while p.match_punct(","):
+                t = p.expect_number()
+                p.expect_punct(":")
+                steps.append((t, p.expect_ident().lexeme))
+            p.expect_punct("]")
+            p.expect_punct(";")
+            spec.histories[name.lexeme] = HistoryDecl(
+                name.lexeme, tuple(steps), (name.line, name.column)
+            )
+        elif tok.lexeme == "orhistory":
+            p.advance()
+            name = p.expect_ident()
+            check_unique(spec.orhistories, name, "history", also=spec.histories)
+            p.expect_punct("=")
+            p.expect_keyword("or")
+            p.expect_punct("[")
+            branches = [p.expect_ident().lexeme]
+            while p.match_punct(","):
+                branches.append(p.expect_ident().lexeme)
+            p.expect_punct("]")
+            p.expect_punct(";")
+            spec.orhistories[name.lexeme] = OrHistoryDecl(
+                name.lexeme, tuple(branches), (name.line, name.column)
+            )
+        else:
+            raise p.error(f"found {tok.lexeme!r}", expected="a statement keyword")
+    return spec
+
+
+def _parse_outcome(parser, tokens):
+    try:
+        spec = parser(tokens)
+    except ParseError as exc:
+        # the oracle said "found end of input at end of input"; nothing else changed
+        return ("error", exc.message.removesuffix(" at end of input"), exc.line, exc.column,
+                exc.expected)
+    return ("ast", spec, repr(spec))  # repr also covers positions and the sign of zeros
+
+
+def _assert_parsers_agree(tokens):
+    assert _parse_outcome(parse, tokens) == _parse_outcome(parse_oracle, tokens), tokens
+
+
+CORPUS_TOKENS = [tokenize(path.read_text()) for path in sorted(CORPUS.glob("*.edl"))
+                 if not path.name == "invalid_14.edl"]  # its illegal character stops the lexer
+TOKEN_POOL = list(dict.fromkeys(tok for toks in CORPUS_TOKENS for tok in toks)) + tokenize(
+    "space state proj history orhistory dim in on bloch span ketbra not or "
+    "X 0 -1 1.5 1e999 0.5-0.5i -0-0i ; = [ ] ( ) , : " + "9" * 5000
+)
+STATEMENT_FRAGMENTS = [
+    "space Q dim 2;", "space R dim 3", "state s in Q = [", "state t in Q =", "1, 0", "0.5-0.5i",
+    "];", "]", "bloch(1.5, 0)", "bloch(", "proj P on Q = span [0", "proj P on Q =", "ketbra s",
+    "not P", "history H = [0: P", "1.0: P", "orhistory O = or [H", "orhistory H = or [", ",",
+    ";", "=", ":", "[", "(", ")", "space", "dim", "in", "on", "or", "Q", "P", "H", "2",
+    "-3", "1e9", "9" * 5000,
+]
+# whole statements whose names collide within and across namespaces
+WHOLE_STATEMENTS = [
+    "space Q dim 2;", "state s in Q = [1, 0.5-0.5i];", "state s in Q = bloch(1.5, 0);",
+    "proj P on Q = span [0];", "proj P on Q = not P;", "proj K on Q = ketbra s;",
+    "history H = [0: P, 1.0: K];", "history O = [0: P];", "orhistory O = or [H];",
+    "orhistory H = or [H, O];",
+]
+
+
+def test_parser_matches_the_oracle_on_the_corpus():
+    assert len(CORPUS_TOKENS) == 19
+    for tokens in CORPUS_TOKENS:
+        _assert_parsers_agree(tokens)
+        for cut in range(len(tokens)):
+            _assert_parsers_agree(tokens[:cut])
+        for other in CORPUS_TOKENS:
+            _assert_parsers_agree(tokens + other)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(WHOLE_STATEMENTS), max_size=8),
+       st.lists(st.sampled_from(STATEMENT_FRAGMENTS), max_size=30))
+def test_parser_matches_the_oracle_on_fragments(statements, fragments):
+    _assert_parsers_agree(tokenize(" ".join(statements + fragments)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(CORPUS_TOKENS),
+       st.lists(st.tuples(st.sampled_from(["delete", "insert", "replace"]),
+                          st.integers(min_value=0), st.sampled_from(TOKEN_POOL)),
+                min_size=1, max_size=4))
+def test_parser_matches_the_oracle_on_mutated_token_streams(tokens, edits):
+    tokens = list(tokens)
+    for op, at, tok in edits:
+        at %= len(tokens) + 1
+        if op == "insert":
+            tokens.insert(at, tok)
+        elif at < len(tokens):
+            if op == "delete":
+                del tokens[at]
+            else:
+                tokens[at] = tok
+    _assert_parsers_agree(tokens)
