@@ -14,6 +14,13 @@ level is the index of the first set bit, capped at lambda_max (an all-zero
 prefix of length lambda_max - 1, probability 2**-(lambda_max - 1), is
 assigned to the cap). That index is 65 - bit_length(word), so the level is
 min(65 - bit_length(word), lambda_max): a pure function of the bit length.
+
+The vector bit length is read exactly from a float64 exponent. A word of 64
+bits does not convert to float64 exactly (2**64 - 1 rounds to 2**64), but
+its top 53 bits, hi = word >> 11, do; for word >= 2**11 the biased exponent
+field of float64(hi) is bit_length(word) + 1011. Words below 2**11
+(probability 2**-53) are exact floats themselves, and np.frexp gives their
+bit length.
 """
 
 from __future__ import annotations
@@ -62,12 +69,22 @@ class RandomSource:
         return self.generator.integers(0, _U64, size=int(n), dtype=np.uint64)
 
 
-_POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
-
-
 def _bit_length_u64(x: np.ndarray) -> np.ndarray:
-    """Vectorized int.bit_length for uint64 arrays: the count of powers of two <= x."""
-    return np.searchsorted(_POW2, np.asarray(x, dtype=np.uint64), side="right")
+    """Vectorized int.bit_length for uint64 arrays, as int64.
+
+    float64(x >> 11) is exact, and its biased exponent field is
+    bit_length(x) + 1011 for x >= 2**11. Below that the field is 0 (the
+    result is negative); those words are exact floats, so their bit length
+    is the exponent np.frexp returns, which is 0 for 0.
+    """
+    x = np.asarray(x, dtype=np.uint64)
+    bits = (x >> np.uint64(11)).astype(np.float64).view(np.int64)
+    bits >>= 52
+    bits -= 1011
+    if bits.min(initial=0) < 0:
+        small = bits < 0
+        bits[small] = np.frexp(x[small].astype(np.float64))[1]
+    return bits
 
 
 def _check_lambda_max(lambda_max: int) -> int:

@@ -294,6 +294,15 @@ GOLDEN_REPORTS = [
      "e12b724313c81523a2628c6a9ad159d1b2328bb8ae72659b6e8135ed1bfe0276"),
     (["parse-check", str(CORPUS / "valid_12.edl"), "--format", "json"], 0,
      "c2f083ab403e924d72783e1c5582aa7f8f20a488ce52aec5f5452ace96bbb7e9"),
+    # 196613 = 3 * 2**16 + 5 trials: several sampling blocks, the last one partial
+    (["sample", "--model", "greedy", "--p", "0.3", "--trials", "196613"], 0,
+     "e3109f949a46bdc78c107541832f8dc12b457efddc61b1cd343f12efbab58216"),
+    (["sample", "--model", "continuous", "--t", "0.4", "--trials", "196613"], 0,
+     "4e24ca27fed893a3a6476b0bd46f3eb9d48fc4e9346c33d548d0bec11d65141e"),
+    (["sample", "--model", "geometric", "--t", "0.25", "--trials", "196613"], 0,
+     "0acb364077f4deb3e4afa45e1d6c572ce7b67741ee3e5a43a1299d32c1974a31"),
+    (["sphere", "--theta", "1.0", "--trials", "196613"], 0,
+     "fe4ca4ca7f58d2f9d2e303f9f79204c7a7f3f7fa4b49c7d7cb45142204af3492"),
 ]
 
 

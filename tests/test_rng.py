@@ -68,14 +68,21 @@ def test_scalar_and_vector_lambda_draws_agree():
     assert scalar == list(vec)
 
 
+# A second oracle: the bit length of x is the count of powers of two <= x.
+_POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
 def test_bit_length_matches_python_ints():
     rng = np.random.default_rng(3)
     xs = rng.integers(0, 2**64, size=500, dtype=np.uint64)
-    edge = np.array([0, 1, 2, 3, 2**31, 2**32 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
-    for arr in (xs, edge):
+    near_powers = {w for k in range(65) for w in (2**k - 1, 2**k, 2**k + 1)}
+    edge = np.array(sorted(w for w in near_powers if w < 2**64), dtype=np.uint64)
+    for arr in (xs, edge, edge[::-1].reshape(-1, 2)):
         got = _bit_length_u64(arr)
-        want = [int(x).bit_length() for x in arr]
-        assert list(got) == want
+        want = np.array([int(x).bit_length() for x in arr.ravel()]).reshape(arr.shape)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, np.searchsorted(_POW2, arr, side="right"))
 
 
 def test_lambda_draw_distribution():

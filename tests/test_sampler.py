@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmsim
+from hmsim import sampler
 from hmsim.dichotomic import DichotomicOutcome, DyadicRule
 from hmsim.errors import DomainError
 from hmsim.hilbert import Projector, StateVector
@@ -124,6 +126,71 @@ def test_bit_length_matches_int_and_shift_loop(words):
     x = np.array(words, dtype=np.uint64)
     want = [w.bit_length() for w in words]
     assert _bit_length_u64(x).tolist() == want == _bit_length_shift_loop(x).tolist()
+
+
+class _ServedWords:
+    """A RandomSource stand-in whose raw64s serves one fixed word array in order."""
+
+    def __init__(self, words):
+        self.words, self.pos = words, 0
+
+    def raw64s(self, n):
+        self.pos += n
+        return self.words[self.pos - n:self.pos].copy()
+
+
+# Words whose bit length sits at a branch of _bit_length_u64 or at a float64
+# rounding edge; words below 2**11 reach a branch Philox hits with probability 2**-53.
+EDGE_WORDS = [0, 1, 2**11 - 1, 2**11, 2**11 + 1, 2**53 - 1, 2**53 + 1, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("lambda_max", [1, 53, 54, 59, 60])
+@pytest.mark.parametrize("model,value", [
+    (Model.GREEDY, 1 / 3), (Model.GREEDY, 0.3), (Model.GREEDY, 2.0**-54 + 2.0**-56 + 2.0**-59),
+    (Model.GEOMETRIC, 1 / 3), (Model.GEOMETRIC, 0.3),
+])
+def test_edge_words_through_the_sampler_match_the_shift_loop(model, value, lambda_max):
+    n = 2 * BLOCK_WORDS + 7
+    words = RandomSource(5, 0).raw64s(n)
+    edges = np.repeat(np.array(EDGE_WORDS, dtype=np.uint64), 20)
+    words[np.random.default_rng(lambda_max).choice(n, edges.size, replace=False)] = edges
+    s = run_dichotomic(model, value, n, _ServedWords(words), lambda_max)
+    expected, _, flags = _alpha_flags(model, value, n, _ServedWords(words), lambda_max)
+    assert (s.count_alpha, s.expected_p) == (int(flags.sum()), expected)
+
+
+def test_counts_do_not_depend_on_the_block_size(monkeypatch):
+    n = 3 * 2**16 + 5
+    summaries = {}
+    for block in (1000, 2**14, 2**16):
+        monkeypatch.setattr(sampler, "BLOCK_WORDS", block)
+        summaries[block] = [run_dichotomic(model, 0.3, n, RandomSource(8, i))
+                            for i, model in enumerate(Model)]
+    assert summaries[1000] == summaries[2**14] == summaries[2**16]
+
+
+class _FirstDraw(Exception):
+    pass
+
+
+class _StopAtFirstDraw:
+    def raw64s(self, n):
+        raise _FirstDraw
+
+    uniforms = raw64s
+
+
+@pytest.mark.parametrize("model", [Model.GREEDY, Model.CONTINUOUS])
+def test_block_schedule_memory_does_not_grow_with_trials(model):
+    # a list of every block size at 1e11 trials would hold millions of ints
+    tracemalloc.start()
+    try:
+        with pytest.raises(_FirstDraw):
+            run_dichotomic(model, 0.3, 10**11, _StopAtFirstDraw())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # Spawns the command in its argv with stdout to /dev/null, reaps it with wait4
