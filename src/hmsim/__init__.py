@@ -33,7 +33,6 @@ from .errors import (
 from .hilbert import (
     Projector,
     StateVector,
-    TensorFactorization,
     UnitaryMap,
     apply_projector,
     born_probability,
@@ -48,7 +47,6 @@ from .hilbert import (
 from .histories import (
     Convention,
     HistoryOutcome,
-    HistoryProjector,
     HomogeneousHistory,
     InhomogeneousHistory,
     PseudoProjection,

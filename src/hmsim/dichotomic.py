@@ -205,7 +205,6 @@ class DyadicExpansion:
     bits: int
     depth: int
     alpha_mask: int
-    rule: DyadicRule
 
     def outcome(self, lam: int) -> DichotomicOutcome:
         if not 1 <= lam <= self.depth:
@@ -213,9 +212,6 @@ class DyadicExpansion:
         if (self.alpha_mask >> (lam - 1)) & 1:
             return DichotomicOutcome.ALPHA
         return DichotomicOutcome.NOT_ALPHA
-
-    def outcomes(self) -> tuple[DichotomicOutcome, ...]:
-        return tuple(self.outcome(i) for i in range(1, self.depth + 1))
 
     def alpha_levels(self) -> list[int]:
         return [i for i in range(1, self.depth + 1) if (self.alpha_mask >> (i - 1)) & 1]
@@ -262,7 +258,7 @@ def expand(prob: float, depth: int, rule: DyadicRule = DyadicRule.GREEDY) -> Dya
         mask = _parity_alpha_mask((1 << bits) - num, bits, depth)
     else:
         raise DomainError(f"unknown rule {rule!r}")
-    return DyadicExpansion(num, bits, depth, mask, rule)
+    return DyadicExpansion(num, bits, depth, mask)
 
 
 def expand_geometric_t(t: float, depth: int) -> DyadicExpansion:
@@ -272,7 +268,7 @@ def expand_geometric_t(t: float, depth: int) -> DyadicExpansion:
     bits = max(SCALE_BITS, depth)
     t_num = t60 << (bits - SCALE_BITS)
     mask = _parity_alpha_mask(t_num, bits, depth)
-    return DyadicExpansion((1 << bits) - t_num, bits, depth, mask, DyadicRule.GEOMETRIC)
+    return DyadicExpansion((1 << bits) - t_num, bits, depth, mask)
 
 
 def dyadic_outcome(prob: float, lam: int) -> DichotomicOutcome:

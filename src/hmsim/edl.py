@@ -39,6 +39,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, TypeVar
 
+import numpy as np
+
 from .dichotomic import qubit_from_angles
 from .errors import DisjointnessError, HmsimError
 from .hilbert import Projector, StateVector, complement_projector, ketbra
@@ -463,14 +465,20 @@ def elaborate(spec: ExperimentSpec) -> Experiment:
                 )
             _require_finite(st.body, f"state {st.name!r}", st.pos)
             raw = StateVector.of(st.body)
-            norm = raw.norm()
-            if norm == 0.0:
+            if not raw.amplitudes.any():
                 raise ElaborationError(f"state {st.name!r} is the zero vector", *st.pos)
+            with np.errstate(over="ignore"):
+                norm = raw.norm()
+            # a norm that over- or underflows, or whose square is subnormal, leaves no unit vector
+            vec = raw.normalized() if 0.0 < norm < math.inf else None
+            if vec is None or not vec.is_normalized():
+                raise ElaborationError(
+                    f"state {st.name!r} cannot be normalized in double precision", *st.pos
+                )
             if abs(norm - 1.0) > RENORMALIZATION_WARN_TOL:
                 warnings.warn(
                     f"state {st.name!r} renormalized (norm was {norm!r})", stacklevel=2
                 )
-            vec = raw.normalized()
         states[st.name] = vec
         state_spaces[st.name] = st.space
 

@@ -10,7 +10,7 @@ slowest, i.e. ``kron(a, b)[i * dim_b + j] == a[i] * b[j]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
 
@@ -41,46 +41,17 @@ def _frozen_complex_matrix(m, name: str) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class TensorFactorization:
-    """Ordered factor dimensions of a tensor-product space."""
-
-    factor_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.factor_dims)
-        if not dims or any(d < 1 for d in dims):
-            raise DimensionError(f"factor dims must be positive, got {self.factor_dims}")
-        object.__setattr__(self, "factor_dims", dims)
-
-    @property
-    def total_dim(self) -> int:
-        n = 1
-        for d in self.factor_dims:
-            n *= d
-        return n
-
-    @property
-    def rank(self) -> int:
-        return len(self.factor_dims)
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitude vector. Physical states are normalized; intermediate
     results of projections may not be."""
 
     amplitudes: np.ndarray
-    factorization: TensorFactorization | None = field(default=None)
 
     def __post_init__(self):
         a = np.array(self.amplitudes, dtype=np.complex128)
         if a.ndim != 1 or a.size == 0:
             raise DimensionError(f"amplitudes must be a nonempty 1-D vector, got shape {a.shape}")
-        if self.factorization is not None and self.factorization.total_dim != a.size:
-            raise DimensionError(
-                f"factorization covers dim {self.factorization.total_dim}, vector has dim {a.size}"
-            )
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
 
@@ -117,7 +88,7 @@ class StateVector:
         n = self.norm()
         if n == 0.0:
             raise NormalizationError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n, self.factorization)
+        return StateVector(self.amplitudes / n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +200,7 @@ def ketbra(state: StateVector) -> Projector:
 def apply_projector(p: Projector, v: StateVector) -> StateVector:
     """Pv. The result is generally unnormalized."""
     _check_same_dim(p.space_dim, v.space_dim, "apply_projector")
-    return StateVector(p.matrix @ v.amplitudes, v.factorization)
+    return StateVector(p.matrix @ v.amplitudes)
 
 
 def born_probability(p: StateVector, proj: Projector) -> float:
@@ -251,9 +222,7 @@ def tensor_vectors(factors: Sequence[StateVector]) -> StateVector:
     """Kronecker product of the factors, first factor varying slowest."""
     if not factors:
         raise EmptyTensorError("tensor product of no vectors")
-    amp = reduce(np.kron, (f.amplitudes for f in factors))
-    fact = TensorFactorization(tuple(f.space_dim for f in factors))
-    return StateVector(amp, fact)
+    return StateVector(reduce(np.kron, (f.amplitudes for f in factors)))
 
 
 def tensor_projectors(factors: Sequence[Projector]) -> Projector:

@@ -39,7 +39,6 @@ from .errors import (
 from .hilbert import (
     Projector,
     StateVector,
-    TensorFactorization,
     apply_projector,
     complement_projector,
     conjugate,
@@ -56,12 +55,6 @@ MAX_DENSE_DIM = 2048  # total dim of a dense history operator; 64 MiB as complex
 class Convention(Enum):
     LUEDERS = "lueders"
     LITERAL = "literal"
-
-
-class HistoryForm(Enum):
-    PURE_TENSOR = "pure_tensor"
-    COMPLEMENT = "complement"
-    DISJOINT_SUM = "disjoint_sum"
 
 
 class HistoryOutcome(Enum):
@@ -111,19 +104,6 @@ class HomogeneousHistory:
     @property
     def factor_dims(self) -> tuple[int, ...]:
         return tuple(p.space_dim for p in self.projectors)
-
-
-@dataclass(frozen=True, eq=False)
-class HistoryProjector:
-    """Projector on the product space together with its provenance form."""
-
-    factorization: TensorFactorization
-    matrix: Projector
-    form: HistoryForm
-
-    def __post_init__(self):
-        if self.factorization.total_dim != self.matrix.space_dim:
-            raise DimensionError("factorization does not cover the projector's space")
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,35 +176,28 @@ def are_disjoint(a: HomogeneousHistory, b: HomogeneousHistory) -> bool:
     return True
 
 
-def _dense_factorization(a: HomogeneousHistory) -> TensorFactorization:
-    fact = TensorFactorization(a.factor_dims)
-    if fact.total_dim > MAX_DENSE_DIM:
-        raise DomainError(f"dense history operator dim {fact.total_dim} exceeds {MAX_DENSE_DIM}")
-    return fact
+def _check_dense_dim(a: HomogeneousHistory) -> None:
+    total = math.prod(a.factor_dims)
+    if total > MAX_DENSE_DIM:
+        raise DomainError(f"dense history operator dim {total} exceeds {MAX_DENSE_DIM}")
 
 
-def hpo_projector(a: HomogeneousHistory) -> HistoryProjector:
+def hpo_projector(a: HomogeneousHistory) -> Projector:
     """Pure-tensor projector of the history's slots."""
-    return HistoryProjector(
-        _dense_factorization(a), tensor_projectors(a.projectors), HistoryForm.PURE_TENSOR
-    )
+    _check_dense_dim(a)
+    return tensor_projectors(a.projectors)
 
 
-def hpo_negation(a: HomogeneousHistory) -> HistoryProjector:
+def hpo_negation(a: HomogeneousHistory) -> Projector:
     """Identity minus the pure tensor."""
-    return HistoryProjector(
-        _dense_factorization(a),
-        complement_projector(tensor_projectors(a.projectors)),
-        HistoryForm.COMPLEMENT,
-    )
+    return complement_projector(hpo_projector(a))
 
 
-def disjoint_or(branches) -> HistoryProjector:
+def disjoint_or(branches) -> Projector:
     """Sum of the branch tensors of a pairwise-disjoint family."""
     branches = check_disjoint_family(branches)
-    fact = _dense_factorization(branches[0])
-    total = sum(tensor_projectors(b.projectors).matrix for b in branches)
-    return HistoryProjector(fact, Projector(total), HistoryForm.DISJOINT_SUM)
+    _check_dense_dim(branches[0])
+    return Projector(sum(tensor_projectors(b.projectors).matrix for b in branches))
 
 
 def downset_contains(candidate: HomogeneousHistory, family) -> bool:

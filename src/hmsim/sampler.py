@@ -25,7 +25,6 @@ from .dichotomic import (
     continuous_probability,
     expand,
     expand_geometric_t,
-    _check_unit_interval,
 )
 from .errors import DomainError
 from .histories import (
@@ -75,9 +74,6 @@ class FrequencySummary:
 class ExactCheckReport:
     """Exact enumeration of one target probability up to level L."""
 
-    rule: DyadicRule
-    target_p: float
-    level: int
     partial_sum: float
     abs_error: float
     bound_satisfied: bool
@@ -114,12 +110,10 @@ def summarize(n_trials: int, count_alpha: int, expected_p: float) -> FrequencySu
 def _model_table(model: Model, value: float, lambda_max: int) -> tuple[float, np.ndarray | None]:
     """Expected probability and (for discrete models) the outcome table by level."""
     if model is Model.CONTINUOUS:
-        _check_unit_interval(value, "t")
         return continuous_probability(value), None
     if model is Model.GREEDY:
         return value, expand(value, lambda_max, DyadicRule.GREEDY).alpha_bools()
     if model is Model.GEOMETRIC:
-        _check_unit_interval(value, "t")
         return continuous_probability(value), expand_geometric_t(value, lambda_max).alpha_bools()
     raise DomainError(f"unknown model {model!r}")
 
@@ -196,9 +190,6 @@ def exact_check(prob: float, level: int, rule: DyadicRule = DyadicRule.GREEDY) -
     """
     exp = expand(prob, level, rule)
     return ExactCheckReport(
-        rule=rule,
-        target_p=float(prob),
-        level=int(level),
         partial_sum=exp.partial_sum(),
         abs_error=exp.abs_error(),
         bound_satisfied=exp.bound_satisfied(),

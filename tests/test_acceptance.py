@@ -142,8 +142,8 @@ def test_criterion_5_hpo_laws():
 
     pp = pseudo_project(PLUS, H_00)
     tensor = pp.tensor.amplitudes
-    yes = float(np.real(np.vdot(tensor, hpo_projector(H_00).matrix.matrix @ tensor)))
-    no = float(np.real(np.vdot(tensor, hpo_negation(H_00).matrix.matrix @ tensor)))
+    yes = float(np.real(np.vdot(tensor, hpo_projector(H_00).matrix @ tensor)))
+    no = float(np.real(np.vdot(tensor, hpo_negation(H_00).matrix @ tensor)))
     assert abs(yes + no - 1.0) <= 1e-12
 
     family = InhomogeneousHistory((H_00, H_11))

@@ -252,6 +252,20 @@ def test_truncated_input_names_the_end_of_input_once(capsys, monkeypatch):
     assert err == "error: line 1 col 14: found end of input (expected ';')\n"
 
 
+# any warning (numpy's overflow RuntimeWarning, the renormalization notice)
+# escapes main as an exception and fails the test
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amplitudes", ["1e200, 0", "1e-200, 1e-200"])
+@pytest.mark.parametrize("subcommand", ["parse-check", "verify"])
+def test_state_norm_out_of_float_range_exits_2_with_position(capsys, tmp_path,
+                                                             subcommand, amplitudes):
+    path = tmp_path / "s.edl"
+    path.write_text(f"space Q dim 2;\nstate s in Q = [{amplitudes}];\n")
+    code, out, err = run_cli(capsys, subcommand, str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 2 col 7: state 's' cannot be normalized in double precision\n"
+
+
 # sha256 of stdout and the exit code of --no-timestamp reports, recorded on
 # the code before the CLI flags were split per subcommand; "{orhist}" is
 # valid_09.edl plus a state, so that its orhistory can be sampled.

@@ -188,6 +188,17 @@ def test_elaborate_renormalizes_with_warning():
     assert exp.states["s"].is_normalized()
 
 
+@pytest.mark.parametrize("amplitudes, message", [
+    ("0, 0", "is the zero vector"),
+    ("1e-160, 0", "cannot be normalized"),  # <v|v> is subnormal and loses digits
+    ("1e200, 1e200", "cannot be normalized"),
+])
+def test_elaborate_refuses_states_without_a_unit_vector(amplitudes, message):
+    with pytest.raises(ElaborationError, match=message) as err:
+        elaborate(parse_text(f"space Q dim 2;\nstate s in Q = [{amplitudes}];\n"))
+    assert (err.value.line, err.value.column) == (2, 7)
+
+
 def test_elaborate_unresolved_projector_position():
     with pytest.raises(ElaborationError) as err:
         elaborate(parse_text("space Q dim 2;\nproj P1 on Q = not P0;\n"))
@@ -289,8 +300,8 @@ def test_negation_decomposition_file_agrees():
     exp = elaborate(parse_text((CORPUS / "valid_12.edl").read_text()))
     from hmsim.histories import disjoint_or
 
-    m1 = disjoint_or(exp.orhistories["dec1"].branches).matrix.matrix
-    m2 = disjoint_or(exp.orhistories["dec2"].branches).matrix.matrix
+    m1 = disjoint_or(exp.orhistories["dec1"].branches).matrix
+    m2 = disjoint_or(exp.orhistories["dec2"].branches).matrix
     assert np.max(np.abs(m1 - m2)) <= 1e-10
 
 

@@ -15,7 +15,6 @@ from hmsim.errors import (
 from hmsim.hilbert import (
     Projector,
     StateVector,
-    TensorFactorization,
     UnitaryMap,
     apply_projector,
     born_probability,
@@ -146,7 +145,6 @@ def test_complement_projector_examples():
 def test_tensor_vectors_examples():
     t = tensor_vectors([E0, E0])
     assert np.allclose(t.amplitudes, [1, 0, 0, 0])
-    assert t.factorization == TensorFactorization((2, 2))
     assert np.allclose(tensor_vectors([E0, E1]).amplitudes, [0, 1, 0, 0])
     assert np.allclose(tensor_vectors([PLUS, E0]).amplitudes, [INV2, 0, INV2, 0])
 

@@ -31,7 +31,6 @@ from hmsim.histories import (
     MAX_DENSE_DIM,
     ZERO_SURVIVAL_TOL,
     Convention,
-    HistoryForm,
     HistoryOutcome,
     HomogeneousHistory,
     InhomogeneousHistory,
@@ -144,20 +143,18 @@ def test_temporal_support_validation():
 
 def test_hpo_projector_examples():
     single = HomogeneousHistory.at_times([0.0], [P0])
-    assert np.allclose(hpo_projector(single).matrix.matrix, P0.matrix)
+    assert np.allclose(hpo_projector(single).matrix, P0.matrix)
     hp = hpo_projector(H_00)
-    assert hp.form is HistoryForm.PURE_TENSOR
-    assert np.allclose(hp.matrix.matrix, np.diag([1, 0, 0, 0]))
+    assert np.allclose(hp.matrix, np.diag([1, 0, 0, 0]))
     ident = HomogeneousHistory.at_times([0.0, 1.0], [I2, I2])
-    assert np.allclose(hpo_projector(ident).matrix.matrix, np.eye(4))
+    assert np.allclose(hpo_projector(ident).matrix, np.eye(4))
 
 
 def test_hpo_negation_examples():
     ident = HomogeneousHistory.at_times([0.0, 1.0], [I2, I2])
-    assert np.allclose(hpo_negation(ident).matrix.matrix, np.zeros((4, 4)))
+    assert np.allclose(hpo_negation(ident).matrix, np.zeros((4, 4)))
     neg = hpo_negation(H_00)
-    assert neg.form is HistoryForm.COMPLEMENT
-    assert np.allclose(neg.matrix.matrix, np.diag([0, 1, 1, 1]))
+    assert np.allclose(neg.matrix, np.diag([0, 1, 1, 1]))
 
 
 def test_hpo_negation_rank_arithmetic(rng):
@@ -165,7 +162,7 @@ def test_hpo_negation_rank_arithmetic(rng):
     hist = HomogeneousHistory.at_times([0.0, 1.0, 2.0], projs)
     total = 2**3
     pure_rank = 1 * 2 * 1
-    assert hpo_negation(hist).matrix.rank == total - pure_rank
+    assert hpo_negation(hist).rank == total - pure_rank
 
 
 def test_are_disjoint_examples():
@@ -214,13 +211,49 @@ def test_dense_operators_refuse_oversized_totals():
 
 def test_disjoint_or_examples():
     combined = disjoint_or([H_00, H_11])
-    assert combined.form is HistoryForm.DISJOINT_SUM
-    assert np.allclose(combined.matrix.matrix, np.diag([1, 0, 0, 1]))
-    assert combined.matrix.rank == hpo_projector(H_00).matrix.rank + hpo_projector(H_11).matrix.rank
+    assert np.allclose(combined.matrix, np.diag([1, 0, 0, 1]))
+    assert combined.rank == hpo_projector(H_00).rank + hpo_projector(H_11).rank
     single = disjoint_or([H_00])
-    assert np.allclose(single.matrix.matrix, hpo_projector(H_00).matrix.matrix)
+    assert np.allclose(single.matrix, hpo_projector(H_00).matrix)
     with pytest.raises(DisjointnessError, match="0 and 1"):
         disjoint_or([H_00, H_00])
+
+
+@st.composite
+def mixed_layouts(draw):
+    """Slot dims in 1..4 over 1..5 slots with a total dim of at most 512, a
+    random generator and one slot index."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)
+                .filter(lambda ds: math.prod(ds) <= 512))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return dims, rng, draw(st.integers(0, len(dims) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_layouts())
+def test_dense_operators_match_kron_oracle_bytewise(layout):
+    dims, rng, k = layout
+    kinds = ["ketbra", "span", "basis"]
+    slots = [random_slot_projector(rng, d, kinds[i % 3]) for i, d in enumerate(dims)]
+    other = [random_slot_projector(rng, d, "span") for d in dims]
+    other[k] = complement_projector(slots[k])
+    a = HomogeneousHistory.at_times(range(len(dims)), slots)
+    b = HomogeneousHistory.at_times(range(len(dims)), other)
+    kron_a = reduce(np.kron, [p.matrix for p in slots])
+    kron_b = reduce(np.kron, [p.matrix for p in other])
+    assert hpo_projector(a).matrix.tobytes() == kron_a.tobytes()
+    negation = np.eye(math.prod(dims), dtype=np.complex128) - kron_a
+    assert hpo_negation(a).matrix.tobytes() == negation.tobytes()
+    assert disjoint_or([a, b]).matrix.tobytes() == sum([kron_a, kron_b]).tobytes()
+
+    d = dims[0]
+    n = max(m for m in range(1, len(dims) + 1) if d**m <= 512)
+    uniform = HomogeneousHistory.at_times(
+        range(n), [random_slot_projector(rng, d, "span") for _ in range(n)]
+    )
+    pp = pseudo_project(random_state(rng, d), uniform)
+    oracle = reduce(np.kron, [q.amplitudes for q in pp.chain])
+    assert pp.tensor.amplitudes.tobytes() == oracle.tobytes()
 
 
 def test_downset_contains_examples():
@@ -326,8 +359,8 @@ def test_complement_law_on_pseudo_tensor(rng):
         if pp.annihilated:
             continue
         tensor = pp.tensor.amplitudes
-        pi_a = hpo_projector(hist).matrix.matrix
-        pi_not = hpo_negation(hist).matrix.matrix
+        pi_a = hpo_projector(hist).matrix
+        pi_not = hpo_negation(hist).matrix
         yes = float(np.real(np.vdot(tensor, pi_a @ tensor)))
         no = float(np.real(np.vdot(tensor, pi_not @ tensor)))
         assert abs(yes + no - 1.0) <= 1e-12
@@ -381,8 +414,8 @@ def test_negation_decompositions_same_projector_distinct_procedures():
         HomogeneousHistory.at_times([0.0, 1.0], [na, I2]),
         HomogeneousHistory.at_times([0.0, 1.0], [a, nb]),
     ))
-    m1 = disjoint_or(dec1.branches).matrix.matrix
-    m2 = disjoint_or(dec2.branches).matrix.matrix
+    m1 = disjoint_or(dec1.branches).matrix
+    m2 = disjoint_or(dec2.branches).matrix
     target = np.eye(4) - tensor_projectors([a, b]).matrix
     assert np.max(np.abs(m1 - target)) <= 1e-10
     assert np.max(np.abs(m2 - target)) <= 1e-10
