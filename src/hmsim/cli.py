@@ -33,11 +33,19 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
-from .dichotomic import (
+# One OpenBLAS thread unless the user chose a count; this must run before numpy
+# loads. No product here is larger than 64x64, where a second thread saves at
+# most 9 us per zgemm and slows zgemv (5.3 vs 4.1 us at d=64), while after each
+# wake it busy-waits for about 135 ms of CPU (2 vCPUs, scipy-openblas 0.3.31).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .dichotomic import (  # noqa: E402
     LAMBDA_CAP,
     BlochVector,
     DyadicRule,
@@ -46,10 +54,9 @@ from .dichotomic import (
     diagonal_coordinate,
     qubit_from_angles,
 )
-from .edl import Experiment, elaborate, parse_bytes
-from .errors import HmsimError
-from .hilbert import Projector, born_probability, vector_to_json
-from .histories import (
+from .errors import HmsimError  # noqa: E402
+from .hilbert import Projector, born_probability, vector_to_json  # noqa: E402
+from .histories import (  # noqa: E402
     Convention,
     HistoryOutcome,
     HomogeneousHistory,
@@ -58,8 +65,11 @@ from .histories import (
     inhomogeneous_probability,
     trajectory,
 )
-from .rng import RandomSource
-from .sampler import Model, check_branch_sum, exact_check, run_dichotomic
+from .rng import RandomSource  # noqa: E402
+from .sampler import Model, check_branch_sum, exact_check, run_dichotomic  # noqa: E402
+
+if TYPE_CHECKING:
+    from .edl import Experiment, ExperimentSpec
 
 Z_THRESHOLD = 4.0
 
@@ -126,8 +136,13 @@ def _read_input(path: str) -> bytes:
         return fh.read()
 
 
-def _load_experiment(path: str) -> Experiment:
-    return elaborate(parse_bytes(_read_input(path)))
+def _load(path: str) -> tuple[ExperimentSpec, Experiment]:
+    """The parsed and the elaborated EDL file at `path` ('-' for stdin)."""
+    # imported here: `sample` and `sphere` never read EDL
+    from .edl import elaborate, parse_bytes
+
+    spec = parse_bytes(_read_input(path))
+    return spec, elaborate(spec)
 
 
 def _grouped(pairs) -> dict:
@@ -165,7 +180,7 @@ def cmd_verify(config: RunConfig, target_p: float | None) -> int:
     if target_p is not None:
         targets = [("p", float(target_p))]
     else:
-        targets = _verify_targets(config, _load_experiment(config.input_path))
+        targets = _verify_targets(config, _load(config.input_path)[1])
     rows = []
     all_ok = True
     for label, prob in targets:
@@ -227,8 +242,7 @@ def cmd_history(config: RunConfig, name: str, state_name: str) -> int:
     if not config.input_path:
         print("history: an input file is required", file=sys.stderr)
         return 2
-    spec = parse_bytes(_read_input(config.input_path))
-    exp = elaborate(spec)
+    spec, exp = _load(config.input_path)
     if state_name not in exp.states:
         print(f"history: unknown state {state_name!r}", file=sys.stderr)
         return 2
@@ -277,8 +291,7 @@ def cmd_parse_check(config: RunConfig) -> int:
     if not config.input_path:
         print("parse-check: an input file is required", file=sys.stderr)
         return 2
-    spec = parse_bytes(_read_input(config.input_path))
-    exp = elaborate(spec)
+    spec, exp = _load(config.input_path)
     if config.format == "json":
         doc = {
             "spaces": {n: d for n, d in exp.spaces.items()},

@@ -39,10 +39,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, TypeVar
 
-import numpy as np
-
 from .dichotomic import qubit_from_angles
-from .errors import DisjointnessError, HmsimError
+from .errors import DisjointnessError, HmsimError, NormalizationError
 from .hilbert import Projector, StateVector, complement_projector, ketbra
 from .histories import HomogeneousHistory, InhomogeneousHistory
 
@@ -467,14 +465,13 @@ def elaborate(spec: ExperimentSpec) -> Experiment:
             raw = StateVector.of(st.body)
             if not raw.amplitudes.any():
                 raise ElaborationError(f"state {st.name!r} is the zero vector", *st.pos)
-            with np.errstate(over="ignore"):
-                norm = raw.norm()
-            # a norm that over- or underflows, or whose square is subnormal, leaves no unit vector
-            vec = raw.normalized() if 0.0 < norm < math.inf else None
-            if vec is None or not vec.is_normalized():
+            try:
+                vec = raw.normalized()
+            except NormalizationError:
                 raise ElaborationError(
                     f"state {st.name!r} cannot be normalized in double precision", *st.pos
-                )
+                ) from None
+            norm = raw.norm()
             if abs(norm - 1.0) > RENORMALIZATION_WARN_TOL:
                 warnings.warn(
                     f"state {st.name!r} renormalized (norm was {norm!r})", stacklevel=2

@@ -10,6 +10,7 @@ slowest, i.e. ``kron(a, b)[i * dim_b + j] == a[i] * b[j]``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
@@ -85,10 +86,16 @@ class StateVector:
             raise NormalizationError(f"state has <v|v> = {self.norm_sq()!r}, expected 1")
 
     def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise NormalizationError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n)
+        """This vector divided by its norm. Raises NormalizationError where double
+        precision leaves no unit vector: a zero norm, one that over- or
+        underflows, or a subnormal <v|v>, whose quotient misses 1."""
+        with np.errstate(over="ignore"):
+            n = self.norm()
+        if not 0.0 < n < math.inf:
+            raise NormalizationError(f"cannot normalize a vector of norm {n!r}")
+        v = StateVector(self.amplitudes / n)
+        v.require_normalized()
+        return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +113,14 @@ class Projector:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
+    def _trusted(cls, matrix) -> "Projector":
+        """A projector built inside this module from a matrix that is one by
+        construction; skips the O(d^3) Hermiticity and idempotency checks."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "matrix", _frozen_complex_matrix(matrix, "projector"))
+        return p
+
+    @classmethod
     def identity(cls, dim: int) -> "Projector":
         return cls(np.eye(dim, dtype=np.complex128))
 
@@ -116,7 +131,7 @@ class Projector:
     @classmethod
     def coordinate(cls, dim: int, indices: Iterable[int]) -> "Projector":
         """0/1 diagonal projector onto the span of the basis vectors `indices`."""
-        return cls(np.diag(np.isin(np.arange(dim), list(indices))).astype(np.complex128))
+        return cls._trusted(np.diag(np.isin(np.arange(dim), list(indices))).astype(np.complex128))
 
     @property
     def space_dim(self) -> int:
@@ -194,7 +209,8 @@ def ketbra(state: StateVector) -> Projector:
     """Rank-one projector |s><s| for a normalized state."""
     state.require_normalized()
     a = state.amplitudes
-    return Projector(np.outer(a, a.conj()))
+    # exactly Hermitian; P @ P - P = (<s|s> - 1) P stays within the normalization tolerance
+    return Projector._trusted(np.outer(a, a.conj()))
 
 
 def apply_projector(p: Projector, v: StateVector) -> StateVector:
@@ -215,7 +231,9 @@ def born_probability(p: StateVector, proj: Projector) -> float:
 
 
 def complement_projector(p: Projector) -> Projector:
-    return Projector(np.eye(p.space_dim, dtype=np.complex128) - p.matrix)
+    """I - P. Its Hermiticity error is P's; its idempotency error is P's up to
+    rounding of order d * eps, so it is not checked again."""
+    return Projector._trusted(np.eye(p.space_dim, dtype=np.complex128) - p.matrix)
 
 
 def tensor_vectors(factors: Sequence[StateVector]) -> StateVector:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PAULI_X, random_state, random_unitary
 from hmsim.errors import (
@@ -117,6 +119,23 @@ def test_born_probability_examples():
     assert born_probability(qubit, P0) == pytest.approx(0.75, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amplitudes", [
+    [0.0, 0.0],
+    [1e200, 0.0],        # the norm overflows
+    [1e-200, 1e-200],    # the norm underflows
+    [1e-160, 0.0],       # <v|v> is subnormal: the quotient has <v|v> = 1.0000111
+])
+def test_normalized_refuses_vectors_double_precision_cannot_normalize(amplitudes):
+    with pytest.raises(NormalizationError):
+        StateVector.of(amplitudes).normalized()
+
+
+def test_normalized_divides_by_the_norm():
+    v = StateVector.of([3.0, 4.0j])
+    assert v.normalized().amplitudes.tobytes() == (v.amplitudes / 5.0).tobytes()
+
+
 def test_born_probability_requires_normalized_state():
     with pytest.raises(NormalizationError):
         born_probability(StateVector.of([1.0, 1.0]), P0)
@@ -212,3 +231,25 @@ def test_ketbra_matches_span_projector(rng):
 
 def test_json_serialization_layout():
     assert vector_to_json(StateVector.of([1.0, 1j])) == [[1.0, 0.0], [0.0, 1.0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_trusted_projectors_match_the_validating_constructor(dim, seed):
+    # coordinate, ketbra and complement skip the O(d^3) checks; each must give the
+    # bytes the checking constructor gives on the same matrix, and pass its checks
+    rng = np.random.default_rng(seed)
+    indices = np.flatnonzero(rng.random(dim) < 0.5)
+    state = random_state(rng, dim)
+    span = projector_from_span([random_state(rng, dim) for _ in range(min(dim, 3))])
+    cases = [
+        (Projector.coordinate(dim, indices),
+         np.diag(np.isin(np.arange(dim), indices)).astype(np.complex128)),
+        (ketbra(state), np.outer(state.amplitudes, state.amplitudes.conj())),
+    ]
+    cases += [(complement_projector(p), np.eye(dim, dtype=np.complex128) - p.matrix)
+              for p in (span, cases[0][0], cases[1][0])]
+    for trusted, matrix in cases:
+        assert trusted.matrix.tobytes() == Projector(matrix).matrix.tobytes()
+        assert Projector(trusted.matrix).matrix.tobytes() == trusted.matrix.tobytes()
+        assert not trusted.matrix.flags.writeable
