@@ -37,8 +37,8 @@ _EXPORTS = {
     ),
     "rng": ("RandomSource", "draw_lambda"),
     "sampler": (
-        "ExactCheckReport", "FrequencySummary", "Model", "exact_check", "lambda_preimage",
-        "run_dichotomic", "run_history",
+        "ExactCheckReport", "FrequencySummary", "Model", "exact_check", "run_dichotomic",
+        "run_history",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -66,7 +66,7 @@ from .histories import (  # noqa: E402
     trajectory,
 )
 from .rng import RandomSource  # noqa: E402
-from .sampler import Model, check_branch_sum, exact_check, run_dichotomic  # noqa: E402
+from .sampler import Model, exact_check, run_dichotomic, run_history  # noqa: E402
 
 if TYPE_CHECKING:
     from .edl import Experiment, ExperimentSpec
@@ -267,19 +267,20 @@ def cmd_history(config: RunConfig, name: str, state_name: str) -> int:
     for label, hist, branch in entries:
         family = isinstance(hist, InhomogeneousHistory)
         prob_of = inhomogeneous_probability if family else history_probability
-        probs = {conv: prob_of(state, hist, conv) for conv in Convention}
-        row = {"name": label, "branch": branch, "lueders_p": probs[Convention.LUEDERS],
-               "literal_p": probs[Convention.LITERAL], "n_trials": config.trials}
-        if config.trials > 0:
-            for conv, prob in probs.items():
-                s = run_dichotomic(Model.GREEDY, check_branch_sum(prob) if family else prob,
-                                   config.trials, RandomSource(config.seed, stream),
-                                   config.lambda_max)
-                stream += 1
-                row[f"{conv.value}_freq"] = s.frequency
-                row[f"{conv.value}_z"] = s.z_score
-                ok = ok and abs(s.z_score) < Z_THRESHOLD
-        if not family and probs[Convention.LUEDERS] > 0.0:
+        row = {"name": label, "branch": branch, "n_trials": config.trials}
+        for conv in Convention:
+            if config.trials == 0:
+                row[f"{conv.value}_p"] = prob_of(state, hist, conv)
+                continue
+            s = run_history(state, hist, conv, config.trials,
+                            RandomSource(config.seed, stream), config.lambda_max)
+            stream += 1
+            # the sampled probability is the history's, so each is computed once
+            row[f"{conv.value}_p"] = s.expected_p
+            row[f"{conv.value}_freq"] = s.frequency
+            row[f"{conv.value}_z"] = s.z_score
+            ok = ok and abs(s.z_score) < Z_THRESHOLD
+        if not family and row["lueders_p"] > 0.0:
             states = trajectory(state, hist, HistoryOutcome.A)
             row["trajectory"] = json.dumps([vector_to_json(v) for v in states])
         rows.append(row)

@@ -21,12 +21,13 @@ input is first rounded onto the ``2**-60`` grid, after which every
 comparison is an integer comparison. This makes the decompositions
 bit-identical across platforms.
 
-Both masks are read off the binary digits of the fixed-point numerator
-``num / 2**bits``: level i is decided by numerator bit ``bits - i``, and
-mask bit ``i - 1`` holds the answer, so a mask is the top ``depth`` digits
-in reverse order. The greedy rule takes the digits of the target itself (all
-levels when the target is 1). The parity rule takes the complement of the
-digits of t (no level when t is 1).
+Both expansions are the target truncated to ``depth`` binary digits. With
+the fixed-point numerator ``num / 2**bits`` and ``s = bits - depth``, the
+greedy rule keeps ``num >> s`` (``2**depth - 1`` when the target is 1), and
+the parity rule keeps the complement of the digits of t,
+``2**depth - 1 - (t_num >> s)`` (0 when t is 1). Level i answers ALPHA iff
+digit ``depth - i`` of that integer is set, and the integer shifted left by
+``s`` is the partial sum on the ``2**-bits`` grid.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -145,29 +145,22 @@ def _check_unit_interval(x: float, name: str) -> None:
         raise DomainError(f"{name}={x!r} outside [0,1]")
 
 
-def _check_level(lam: int) -> int:
-    if not isinstance(lam, int) or isinstance(lam, bool) or lam < 1:
-        raise DomainError(f"level must be a positive integer, got {lam!r}")
-    return lam
+def _fixed_point(x: float, depth: int) -> tuple[int, int]:
+    """x in [0,1] as a numerator on the 2**-bits grid, with bits = max(SCALE_BITS, depth).
 
-
-def _fixed_point(x: float) -> int:
-    """Round x in [0,1] onto the 2**-SCALE_BITS grid (ties to even).
-
-    Scaling by a power of two is exact in binary64, so the only rounding is
-    the final one; inputs with 53-bit significands above 2**-7 are already
-    on the grid and survive unchanged.
+    x is rounded onto the 2**-SCALE_BITS grid (ties to even). Scaling by a
+    power of two is exact in binary64, so the only rounding is the final
+    one; inputs with 53-bit significands above 2**-7 are already on the grid
+    and survive unchanged.
     """
+    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
+        raise DomainError(f"level must be a positive integer, got {depth!r}")
     _check_unit_interval(x, "probability")
-    return round(x * float(1 << SCALE_BITS))
+    bits = max(SCALE_BITS, depth)
+    return round(x * float(1 << SCALE_BITS)) << (bits - SCALE_BITS), bits
 
 
-def _reversed_digits(x: int, width: int) -> int:
-    """The low `width` binary digits of x in reverse order."""
-    return int(format(x & ((1 << width) - 1), f"0{width}b")[::-1], 2)
-
-
-def _greedy_alpha_mask(num: int, bits: int, depth: int) -> int:
+def _greedy_digits(num: int, bits: int, depth: int) -> int:
     """Greedy binary decomposition of num/2**bits down to level `depth` <= `bits`.
 
     Level i is ALPHA iff the target is >= the running sum plus 2**-i, with
@@ -176,10 +169,10 @@ def _greedy_alpha_mask(num: int, bits: int, depth: int) -> int:
     """
     if num >= 1 << bits:
         return (1 << depth) - 1
-    return _reversed_digits(num >> (bits - depth), depth)
+    return num >> (bits - depth)
 
 
-def _parity_alpha_mask(t_num: int, bits: int, depth: int) -> int:
+def _parity_digits(t_num: int, bits: int, depth: int) -> int:
     """Even-cell rule: level i is ALPHA iff floor(t * 2**i) is even, i.e. iff
     bit bits-i of t_num is clear (`depth` <= `bits`).
 
@@ -188,7 +181,7 @@ def _parity_alpha_mask(t_num: int, bits: int, depth: int) -> int:
     """
     if t_num == 1 << bits:
         return 0
-    return _reversed_digits(~(t_num >> (bits - depth)), depth)
+    return (1 << depth) - 1 - (t_num >> (bits - depth))
 
 
 @dataclass(frozen=True)
@@ -197,35 +190,30 @@ class DyadicExpansion:
 
     `numerator`/2**`bits` is the fixed-point target probability (for the
     parity rule this is still the ALPHA probability 1 - t, converted in
-    integer arithmetic so no float subtraction is involved). Bit i-1 of
-    `alpha_mask` is set iff the outcome at level i is ALPHA.
+    integer arithmetic so no float subtraction is involved). `digits`/2**`depth`
+    is the partial sum: bit depth-i of `digits` is set iff level i is ALPHA.
     """
 
     numerator: int
     bits: int
     depth: int
-    alpha_mask: int
+    digits: int
 
     def outcome(self, lam: int) -> DichotomicOutcome:
         if not 1 <= lam <= self.depth:
             raise DomainError(f"level {lam} outside expansion depth {self.depth}")
-        if (self.alpha_mask >> (lam - 1)) & 1:
+        if (self.digits >> (self.depth - lam)) & 1:
             return DichotomicOutcome.ALPHA
         return DichotomicOutcome.NOT_ALPHA
 
-    def alpha_levels(self) -> list[int]:
-        return [i for i in range(1, self.depth + 1) if (self.alpha_mask >> (i - 1)) & 1]
-
     def alpha_bools(self) -> np.ndarray:
         """Boolean table indexed by level-1; used for vectorized sampling."""
-        return np.array(
-            [(self.alpha_mask >> i) & 1 == 1 for i in range(self.depth)], dtype=bool
-        )
+        return np.array([(self.digits >> k) & 1 for k in reversed(range(self.depth))], dtype=bool)
 
-    @cached_property
+    @property
     def partial_sum_numerator(self) -> int:
-        """Sum of 2**(bits-i) over the ALPHA levels i: the mask's digits reversed."""
-        return _reversed_digits(self.alpha_mask, self.depth) << (self.bits - self.depth)
+        """Sum of 2**(bits-i) over the ALPHA levels i."""
+        return self.digits << (self.bits - self.depth)
 
     @property
     def abs_error_numerator(self) -> int:
@@ -246,29 +234,23 @@ class DyadicExpansion:
         return 0 <= self.abs_error_numerator <= (1 << (self.bits - self.depth))
 
 
+def _parity_expansion(t_num: int, bits: int, depth: int) -> DyadicExpansion:
+    return DyadicExpansion((1 << bits) - t_num, bits, depth, _parity_digits(t_num, bits, depth))
+
+
 def expand(prob: float, depth: int, rule: DyadicRule = DyadicRule.GREEDY) -> DyadicExpansion:
     """Level outcomes 1..depth for target ALPHA probability `prob`."""
-    _check_level(depth)
-    num60 = _fixed_point(prob)
-    bits = max(SCALE_BITS, depth)
-    num = num60 << (bits - SCALE_BITS)
+    num, bits = _fixed_point(prob, depth)
     if rule is DyadicRule.GREEDY:
-        mask = _greedy_alpha_mask(num, bits, depth)
-    elif rule is DyadicRule.GEOMETRIC:
-        mask = _parity_alpha_mask((1 << bits) - num, bits, depth)
-    else:
-        raise DomainError(f"unknown rule {rule!r}")
-    return DyadicExpansion(num, bits, depth, mask)
+        return DyadicExpansion(num, bits, depth, _greedy_digits(num, bits, depth))
+    if rule is DyadicRule.GEOMETRIC:
+        return _parity_expansion((1 << bits) - num, bits, depth)
+    raise DomainError(f"unknown rule {rule!r}")
 
 
 def expand_geometric_t(t: float, depth: int) -> DyadicExpansion:
     """Parity-rule outcomes parameterized directly by the chord coordinate t."""
-    _check_level(depth)
-    t60 = _fixed_point(t)
-    bits = max(SCALE_BITS, depth)
-    t_num = t60 << (bits - SCALE_BITS)
-    mask = _parity_alpha_mask(t_num, bits, depth)
-    return DyadicExpansion((1 << bits) - t_num, bits, depth, mask)
+    return _parity_expansion(*_fixed_point(t, depth), depth)
 
 
 def dyadic_outcome(prob: float, lam: int) -> DichotomicOutcome:

@@ -32,12 +32,13 @@ requested by a single name.
 
 from __future__ import annotations
 
-import math
 import re
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, TypeVar
+
+import numpy as np
 
 from .dichotomic import qubit_from_angles
 from .errors import DisjointnessError, HmsimError, NormalizationError
@@ -423,10 +424,8 @@ class Experiment:
 
 
 def _require_finite(values, what: str, pos: Pos) -> None:
-    for v in values:
-        z = complex(v)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ElaborationError(f"non-finite value in {what}", *pos)
+    if not np.isfinite(np.asarray(values, dtype=complex)).all():
+        raise ElaborationError(f"non-finite value in {what}", *pos)
 
 
 def _resolve(table: dict[str, _T], ref: str, what: str, pos: Pos) -> _T:

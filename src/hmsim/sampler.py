@@ -19,7 +19,6 @@ from enum import Enum
 import numpy as np
 
 from .dichotomic import (
-    DichotomicOutcome,
     DyadicRule,
     LAMBDA_CAP,
     continuous_probability,
@@ -144,16 +143,6 @@ def run_dichotomic(
     return summarize(n, count, expected)
 
 
-def check_branch_sum(prob: float) -> float:
-    """An orhistory's probability, refused when above 1: one context model cannot realize it."""
-    if prob > 1.0:
-        raise DomainError(
-            f"branch procedure probabilities sum to {prob!r}; a sum beyond 1"
-            " cannot be realized by a single dichotomic context model"
-        )
-    return prob
-
-
 def run_history(
     p: StateVector,
     a: HomogeneousHistory | InhomogeneousHistory,
@@ -164,21 +153,15 @@ def run_history(
 ) -> FrequencySummary:
     """Sample the deterministic history outcome over drawn context levels."""
     if isinstance(a, InhomogeneousHistory):
-        prob = check_branch_sum(inhomogeneous_probability(p, a, convention))
+        prob = inhomogeneous_probability(p, a, convention)
+        if prob > 1.0:
+            raise DomainError(
+                f"branch procedure probabilities sum to {prob!r}; a sum beyond 1"
+                " cannot be realized by a single dichotomic context model"
+            )
     else:
         prob = history_probability(p, a, convention)
     return run_dichotomic(Model.GREEDY, prob, n, rng, lambda_max)
-
-
-def lambda_preimage(
-    prob: float, outcome: DichotomicOutcome, level: int, rule: DyadicRule = DyadicRule.GREEDY
-) -> list[int]:
-    """All levels <= `level` whose deterministic outcome matches `outcome`."""
-    exp = expand(prob, level, rule)
-    if outcome is DichotomicOutcome.ALPHA:
-        return exp.alpha_levels()
-    alpha = set(exp.alpha_levels())
-    return [i for i in range(1, level + 1) if i not in alpha]
 
 
 def exact_check(prob: float, level: int, rule: DyadicRule = DyadicRule.GREEDY) -> ExactCheckReport:

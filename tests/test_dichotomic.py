@@ -23,7 +23,7 @@ from hmsim.dichotomic import (
     expand_geometric_t,
     qubit_from_angles,
 )
-from hmsim.dichotomic import _greedy_alpha_mask, _parity_alpha_mask
+from hmsim.dichotomic import _greedy_digits, _parity_digits
 from hmsim.errors import DomainError, InvariantError
 from hmsim.hilbert import StateVector, born_probability, ketbra
 
@@ -173,7 +173,7 @@ def test_recovery_bounds_boundary_dyadics(prob):
 def test_deep_expansion_stays_exact_beyond_sixty():
     # depth beyond the 2**-60 input grid: the expansion bottoms out exactly
     exp = expand(1 / 3, 80, DyadicRule.GREEDY)
-    assert all(lam <= 60 for lam in exp.alpha_levels())
+    assert not exp.alpha_bools()[60:].any()
     assert exp.abs_error_numerator == 0
     assert exp.bound_satisfied()
 
@@ -203,7 +203,8 @@ def test_models_diverge_at_three_quarters_but_sums_agree():
 
 
 
-# The per-level loops that the binary-digit rule replaced, kept as oracles.
+# The per-level loops that the truncated-numerator rule replaced, kept as
+# oracles: bit i-1 of a loop mask is set iff level i answers ALPHA.
 def greedy_mask_loop(num: int, bits: int, depth: int) -> int:
     mask = 0
     acc = 0
@@ -234,40 +235,50 @@ def partial_sum_loop(mask: int, bits: int, depth: int) -> int:
     return acc
 
 
-dyadic_values = st.integers(0, 70).flatmap(
-    lambda j: st.integers(0, 2**j).map(lambda k: k / 2.0**j))
-# 2**-k and its float neighbours; the one above 2**0 = 1 is outside [0, 1]
-power_neighbours = st.integers(0, 1074).flatmap(lambda k: st.sampled_from(
-    [x for x in (math.nextafter(2.0**-k, 0.0), 2.0**-k, math.nextafter(2.0**-k, 2.0))
-     if x <= 1.0]))
+def with_neighbours(x: float):
+    """x and its float neighbours one ulp away, those inside [0, 1]."""
+    return st.sampled_from(
+        [y for y in (math.nextafter(x, 0.0), x, math.nextafter(x, 2.0)) if y <= 1.0])
+
+
+dyadic_neighbours = st.integers(0, 70).flatmap(
+    lambda j: st.integers(0, 2**j).map(lambda k: k / 2.0**j)).flatmap(with_neighbours)
+power_neighbours = st.integers(0, 1074).map(lambda k: 2.0**-k).flatmap(with_neighbours)
 mask_values = st.one_of(
-    st.sampled_from([0.0, 1.0]), dyadic_values, power_neighbours,
+    st.sampled_from([0.0, 1.0]), dyadic_neighbours, power_neighbours,
     st.floats(0.0, 2.0**-60), st.floats(0.0, 1.0),
 )
 
 
+def assert_matches_loop_mask(exp, mask: int) -> None:
+    levels = [(mask >> (lam - 1)) & 1 == 1 for lam in range(1, exp.depth + 1)]
+    assert [exp.outcome(lam) is ALPHA for lam in range(1, exp.depth + 1)] == levels
+    assert exp.alpha_bools().tolist() == levels
+    assert exp.partial_sum_numerator == partial_sum_loop(mask, exp.bits, exp.depth)
+
+
 @settings(max_examples=500, deadline=None)
 @given(mask_values, st.integers(1, 200))
-def test_masks_and_partial_sum_match_the_level_loops(value, depth):
+def test_outcomes_and_partial_sum_match_the_level_loops(value, depth):
     greedy = expand(value, depth, DyadicRule.GREEDY)
     bits, num = greedy.bits, greedy.numerator
-    assert greedy.alpha_mask == greedy_mask_loop(num, bits, depth)
+    assert_matches_loop_mask(greedy, greedy_mask_loop(num, bits, depth))
     for parity in (expand(value, depth, DyadicRule.GEOMETRIC), expand_geometric_t(value, depth)):
         t_num = (1 << bits) - parity.numerator
-        assert parity.alpha_mask == parity_mask_loop(t_num, bits, depth)
-    for exp in (greedy, parity):
-        assert exp.partial_sum_numerator == partial_sum_loop(exp.alpha_mask, bits, depth)
+        assert_matches_loop_mask(parity, parity_mask_loop(t_num, bits, depth))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_masks_match_the_level_loops_on_raw_numerators(data):
+def test_digits_match_the_level_loops_on_raw_numerators(data):
     # every numerator on a grid of any width, not only those a float rounds onto
     depth = data.draw(st.integers(1, 200))
     bits = data.draw(st.integers(depth, 260))
     num = data.draw(st.integers(0, 2**bits))
-    assert _greedy_alpha_mask(num, bits, depth) == greedy_mask_loop(num, bits, depth)
-    assert _parity_alpha_mask(num, bits, depth) == parity_mask_loop(num, bits, depth)
+    shift = bits - depth
+    greedy, parity = greedy_mask_loop(num, bits, depth), parity_mask_loop(num, bits, depth)
+    assert _greedy_digits(num, bits, depth) << shift == partial_sum_loop(greedy, bits, depth)
+    assert _parity_digits(num, bits, depth) << shift == partial_sum_loop(parity, bits, depth)
 
 
 def test_discrete_context_weights_exact():

@@ -30,6 +30,13 @@ def test_all_names_resolve_and_none_is_a_module():
         assert not isinstance(getattr(hmsim, name), types.ModuleType), name
 
 
+def test_deleted_names_are_not_exported():
+    # lambda_preimage had no caller but its tests; expand(...).outcome(lam) gives each level
+    assert "lambda_preimage" not in hmsim.__all__
+    with pytest.raises(AttributeError):
+        hmsim.lambda_preimage
+
+
 def test_bare_import_loads_no_numpy_and_resolves_every_name():
     child = (
         "import importlib, sys, types\n"

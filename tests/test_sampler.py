@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import hmsim
 from hmsim import sampler
-from hmsim.dichotomic import DichotomicOutcome, DyadicRule
+from hmsim.dichotomic import DichotomicOutcome, DyadicRule, expand
 from hmsim.errors import DomainError
 from hmsim.hilbert import Projector, StateVector
 from hmsim.histories import Convention, HomogeneousHistory, InhomogeneousHistory
@@ -24,7 +24,6 @@ from hmsim.sampler import (
     Model,
     _model_table,
     exact_check,
-    lambda_preimage,
     run_dichotomic,
     run_history,
     summarize,
@@ -279,18 +278,25 @@ def test_run_history_rejects_procedure_sums_beyond_one():
         run_history(PLUS, fam, Convention.LUEDERS, 100, RandomSource(0, 0))
 
 
-def test_lambda_preimage_examples():
-    assert lambda_preimage(0.5, ALPHA, 5, DyadicRule.GREEDY) == [1]
-    assert lambda_preimage(0.0, ALPHA, 8, DyadicRule.GREEDY) == []
-    assert lambda_preimage(0.75, ALPHA, 4, DyadicRule.GREEDY) == [1, 2]
-    assert lambda_preimage(0.75, DichotomicOutcome.NOT_ALPHA, 4, DyadicRule.GREEDY) == [3, 4]
+def alpha_levels(prob: float, depth: int, rule: DyadicRule) -> list[int]:
+    exp = expand(prob, depth, rule)
+    return [lam for lam in range(1, depth + 1) if exp.outcome(lam) is ALPHA]
 
 
-def test_preimage_measure_equals_partial_sum():
+def test_alpha_level_examples():
+    assert alpha_levels(0.5, 5, DyadicRule.GREEDY) == [1]
+    assert alpha_levels(0.0, 8, DyadicRule.GREEDY) == []
+    assert alpha_levels(0.75, 4, DyadicRule.GREEDY) == [1, 2]
+    assert alpha_levels(0.75, 4, DyadicRule.GEOMETRIC) == [1, 3, 4]
+
+
+def test_alpha_level_measure_equals_partial_sum():
     for prob in (0.0, 1.0, 0.3, 1 / 3, 0.9875):
         for rule in DyadicRule:
             rep = exact_check(prob, 30, rule)
-            measure = sum(Fraction(1, 2**lam) for lam in lambda_preimage(prob, ALPHA, 30, rule))
+            exp = expand(prob, 30, rule)
+            measure = sum(Fraction(1, 2**lam) for lam in range(1, 31)
+                          if exp.outcome(lam) is ALPHA)
             assert Fraction(rep.partial_sum) == measure
 
 
