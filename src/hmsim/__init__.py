@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "dichotomic": (
         "BlochVector", "DichotomicOutcome", "DiscreteContext", "DyadicRule", "bloch_of_qubit",
-        "continuous_outcome", "continuous_probability", "diagonal_coordinate",
-        "dyadic_outcome", "dyadic_outcome_geometric", "dyadic_partial_sum", "qubit_from_angles",
+        "continuous_probability", "diagonal_coordinate", "dyadic_outcome",
+        "dyadic_outcome_geometric", "dyadic_partial_sum", "qubit_from_angles",
     ),
     "errors": (
         "DegenerateSpanError", "DimensionError", "DisjointnessError", "DomainError",
@@ -25,15 +25,14 @@ _EXPORTS = {
     ),
     "hilbert": (
         "Projector", "StateVector", "UnitaryMap", "apply_projector", "born_probability",
-        "complement_projector", "conjugate", "inner_product", "ketbra", "projector_from_span",
-        "tensor_projectors", "tensor_vectors",
+        "complement_projector", "conjugate", "ketbra", "projector_from_span", "tensor_projectors",
+        "tensor_vectors",
     ),
     "histories": (
         "Convention", "HistoryOutcome", "HomogeneousHistory", "InhomogeneousHistory",
         "PseudoProjection", "TemporalSupport", "are_disjoint", "check_disjoint_family",
-        "conjugate_history", "disjoint_or", "downset_contains", "history_hms_outcome",
-        "history_probability", "hpo_negation", "hpo_projector", "inhomogeneous_probability",
-        "pseudo_project", "trajectory",
+        "conjugate_history", "disjoint_or", "history_probability", "hpo_negation", "hpo_projector",
+        "inhomogeneous_probability", "pseudo_project", "trajectory",
     ),
     "rng": ("RandomSource", "draw_lambda"),
     "sampler": (

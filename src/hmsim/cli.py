@@ -66,7 +66,13 @@ from .histories import (  # noqa: E402
     trajectory,
 )
 from .rng import RandomSource  # noqa: E402
-from .sampler import Model, exact_check, run_dichotomic, run_history  # noqa: E402
+from .sampler import (  # noqa: E402
+    Model,
+    _check_branch_sum,
+    exact_check,
+    run_dichotomic,
+    run_history,
+)
 
 if TYPE_CHECKING:
     from .edl import Experiment, ExperimentSpec
@@ -156,7 +162,8 @@ def _grouped(pairs) -> dict:
 def _verify_targets(config: RunConfig, exp: Experiment) -> list[tuple[str, float]]:
     """For each state in declaration order: the Born value of every projector on
     its space, then the probability, under the configured convention, of every
-    history and then every orhistory whose slots all have the state's dim."""
+    history and then every orhistory whose slots all have the state's dim. An
+    orhistory whose branch probabilities sum beyond 1 is refused."""
     projectors = _grouped(exp.projector_spaces.items())
     # keyed by the set of slot dims: a history with mixed dims matches no state
     histories = _grouped((n, frozenset(h.factor_dims)) for n, h in exp.histories.items())
@@ -171,8 +178,9 @@ def _verify_targets(config: RunConfig, exp: Experiment) -> list[tuple[str, float
             targets.append((f"{sname}|{hname}",
                             history_probability(state, exp.histories[hname], config.convention)))
         for oname in orhistories.get(dims, []):
-            targets.append((f"{sname}|{oname}", inhomogeneous_probability(
-                state, exp.orhistories[oname], config.convention)))
+            label = f"{sname}|{oname}"
+            prob = inhomogeneous_probability(state, exp.orhistories[oname], config.convention)
+            targets.append((label, _check_branch_sum(prob, f"target {label}: ")))
     return targets
 
 

@@ -2,8 +2,8 @@
 
 Two families of models are implemented. In the continuous model the hidden
 context is a uniform coordinate ``u`` on the chord between the measurement
-direction and its antipode; the outcome is a threshold function of ``u``
-against the projected state coordinate ``t``. In the discrete models the
+direction and its antipodal point; the outcome is a threshold function of
+``u`` against the projected state coordinate ``t``. In the discrete models the
 hidden context is a positive integer level ``lam`` carrying weight
 ``2**-lam``, and the outcome at each level is fixed either by a greedy
 running-sum rule on the target probability or by the parity of the cell the
@@ -67,21 +67,11 @@ class BlochVector:
         if abs(self.x * self.x + self.y * self.y + self.z * self.z - 1.0) > 1e-12:
             raise InvariantError("Bloch vector must have unit norm")
 
-    @classmethod
-    def from_angles(cls, theta: float, phi: float = 0.0) -> "BlochVector":
-        st = math.sin(theta)
-        v = (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
-        n = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-        return cls(v[0] / n, v[1] / n, v[2] / n)
-
     def dot(self, other: "BlochVector") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
-    def antipode(self) -> "BlochVector":
-        return BlochVector(-self.x, -self.y, -self.z)
 
-
-# Position on the chord from the measurement direction (t=0) to its antipode (t=1).
+# Position on the chord from the measurement direction (t=0) to its antipodal point (t=1).
 DiagonalCoordinate = float
 
 
@@ -123,13 +113,6 @@ def diagonal_coordinate(p: BlochVector, alpha: BlochVector) -> DiagonalCoordinat
     """Orthogonal projection of p onto the alpha chord, as t = (1 - p.alpha)/2."""
     t = (1.0 - p.dot(alpha)) / 2.0
     return min(max(t, 0.0), 1.0)
-
-
-def continuous_outcome(t: DiagonalCoordinate, u: float) -> DichotomicOutcome:
-    """ALPHA iff the context coordinate u lies at or beyond t (closed at u == t)."""
-    _check_unit_interval(t, "t")
-    _check_unit_interval(u, "u")
-    return DichotomicOutcome.ALPHA if u >= t else DichotomicOutcome.NOT_ALPHA
 
 
 def continuous_probability(t: DiagonalCoordinate) -> float:

@@ -125,10 +125,6 @@ class Projector:
         return cls(np.eye(dim, dtype=np.complex128))
 
     @classmethod
-    def zero(cls, dim: int) -> "Projector":
-        return cls(np.zeros((dim, dim), dtype=np.complex128))
-
-    @classmethod
     def coordinate(cls, dim: int, indices: Iterable[int]) -> "Projector":
         """0/1 diagonal projector onto the span of the basis vectors `indices`."""
         return cls._trusted(np.diag(np.isin(np.arange(dim), list(indices))).astype(np.complex128))
@@ -157,10 +153,6 @@ class UnitaryMap:
             raise InvariantError("matrix is not unitary within tolerance")
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def identity(cls, dim: int) -> "UnitaryMap":
-        return cls(np.eye(dim, dtype=np.complex128))
-
     @property
     def space_dim(self) -> int:
         return int(self.matrix.shape[0])
@@ -169,12 +161,6 @@ class UnitaryMap:
 def _check_same_dim(a: int, b: int, what: str) -> None:
     if a != b:
         raise DimensionError(f"{what}: dimension mismatch {a} vs {b}")
-
-
-def inner_product(u: StateVector, v: StateVector) -> complex:
-    """<u|v>, conjugate-linear in the first argument."""
-    _check_same_dim(u.space_dim, v.space_dim, "inner_product")
-    return complex(np.vdot(u.amplitudes, v.amplitudes))
 
 
 def projector_from_span(vectors: Sequence[StateVector]) -> Projector:
@@ -257,10 +243,6 @@ def conjugate(p: Projector, u: UnitaryMap) -> Projector:
     return Projector(u.matrix @ p.matrix @ u.matrix.conj().T)
 
 
-def complex_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def vector_to_json(v: StateVector) -> list[list[float]]:
     """Amplitudes as [re, im] pairs, basis order."""
-    return [complex_pair(z) for z in v.amplitudes]
+    return [[float(np.real(z)), float(np.imag(z))] for z in v.amplitudes]

@@ -1,10 +1,12 @@
 """History propositions as projectors on a tensor-product space.
 
 A homogeneous history is a time-ordered sequence of projectors, represented
-as the pure-tensor projector of its slots. Negation is identity minus that
-tensor; a disjoint family of homogeneous histories is represented by the sum
-of the branch tensors. Probabilities come from chaining the slot projectors
-through the initial state.
+as the pure-tensor projector of its slots (the history projection operator,
+HPO, of Isham, J. Math. Phys. 35, 2157 (1994)). Negation is identity minus
+that tensor, and the "or" of a disjoint family is the sum of the branch
+tensors. Probabilities come from chaining the slot projectors through the
+initial state; the deterministic outcome at a context level is the greedy
+dyadic rule applied to that probability (sampler.run_history).
 
 Disjointness is decided slot by slot (check_disjoint_family). Only
 hpo_projector, hpo_negation and disjoint_or build d**n-sized matrices, and
@@ -28,7 +30,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .dichotomic import DichotomicOutcome, dyadic_outcome
 from .errors import (
     DimensionError,
     DisjointnessError,
@@ -47,7 +48,6 @@ from .hilbert import (
 )
 
 DISJOINT_TOL = 1e-10
-CONTAINMENT_TOL = 1e-10
 ZERO_SURVIVAL_TOL = 1e-24  # on a squared norm
 MAX_DENSE_DIM = 2048  # total dim of a dense history operator; 64 MiB as complex128
 
@@ -200,26 +200,6 @@ def disjoint_or(branches) -> Projector:
     return Projector(sum(tensor_projectors(b.projectors).matrix for b in branches))
 
 
-def downset_contains(candidate: HomogeneousHistory, family) -> bool:
-    """True iff the candidate tensor lies below some family member slotwise.
-
-    Slot containment is range(pi_cand) inside range(pi_fam), checked as
-    pi_fam pi_cand == pi_cand.
-    """
-    family = tuple(family)
-    for member in family:
-        _check_same_layout(candidate, member)
-    for member in family:
-        ok = True
-        for pc, pf in zip(candidate.projectors, member.projectors):
-            if float(np.max(np.abs(pf.matrix @ pc.matrix - pc.matrix))) > CONTAINMENT_TOL:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
 def _require_state_fits(p: StateVector, a: HomogeneousHistory) -> None:
     p.require_normalized()
     for k, proj in enumerate(a.projectors):
@@ -303,17 +283,6 @@ def inhomogeneous_probability(
     if 1.0 < total <= 1.0 + 1e-12:
         return 1.0
     return total
-
-
-def history_hms_outcome(
-    p: StateVector,
-    a: HomogeneousHistory,
-    lam: int,
-    convention: Convention = Convention.LUEDERS,
-) -> HistoryOutcome:
-    """Deterministic outcome at context level lam (greedy rule on the probability)."""
-    out = dyadic_outcome(history_probability(p, a, convention), lam)
-    return HistoryOutcome.A if out is DichotomicOutcome.ALPHA else HistoryOutcome.NOT_A
 
 
 def trajectory(

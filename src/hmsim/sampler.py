@@ -143,6 +143,16 @@ def run_dichotomic(
     return summarize(n, count, expected)
 
 
+def _check_branch_sum(prob: float, where: str = "") -> float:
+    """prob, once it is at most 1; `where` opens the message otherwise."""
+    if prob > 1.0:
+        raise DomainError(
+            f"{where}branch procedure probabilities sum to {prob!r}; a sum beyond 1"
+            " cannot be realized by a single dichotomic context model"
+        )
+    return prob
+
+
 def run_history(
     p: StateVector,
     a: HomogeneousHistory | InhomogeneousHistory,
@@ -153,12 +163,7 @@ def run_history(
 ) -> FrequencySummary:
     """Sample the deterministic history outcome over drawn context levels."""
     if isinstance(a, InhomogeneousHistory):
-        prob = inhomogeneous_probability(p, a, convention)
-        if prob > 1.0:
-            raise DomainError(
-                f"branch procedure probabilities sum to {prob!r}; a sum beyond 1"
-                " cannot be realized by a single dichotomic context model"
-            )
+        prob = _check_branch_sum(inhomogeneous_probability(p, a, convention))
     else:
         prob = history_probability(p, a, convention)
     return run_dichotomic(Model.GREEDY, prob, n, rng, lambda_max)

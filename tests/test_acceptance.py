@@ -24,12 +24,21 @@ from hmsim.dichotomic import (
     dyadic_partial_sum,
 )
 from hmsim.edl import ElaborationError, ParseError, elaborate, parse_bytes, parse_text, pretty_print
-from hmsim.hilbert import Projector, StateVector, born_probability, ketbra
+from hmsim.errors import DisjointnessError
+from hmsim.hilbert import (
+    Projector,
+    StateVector,
+    born_probability,
+    complement_projector,
+    ketbra,
+    projector_from_span,
+)
 from hmsim.histories import (
     Convention,
     HomogeneousHistory,
     InhomogeneousHistory,
     conjugate_history,
+    disjoint_or,
     history_probability,
     hpo_negation,
     hpo_projector,
@@ -282,3 +291,40 @@ def test_criterion_9_byte_identical_reports(capsys, tmp_path):
     assert first == second
     assert first  # reports actually produced
     _report(9, f"{len(command_sets)} commands, {len(first)} bytes, identical across runs")
+
+
+def test_criterion_10_hpo_disjunction():
+    """Isham, J. Math. Phys. 35, 2157 (1994): the "or" of disjoint histories is
+    represented by the sum of their history projection operators, which is again
+    a projector; overlapping histories have no such "or"."""
+    rng = np.random.default_rng(DEFAULT_SEED + 5)
+
+    def random_projector(d):
+        return projector_from_span([random_state(rng, d) for _ in range(int(rng.integers(1, d)))])
+
+    def tree_family(dims):
+        """P x (a disjoint family on the later slots), then (I - P) x one history:
+        pairwise disjoint at the first slot where two branches part."""
+        p = random_projector(dims[0])
+        if len(dims) == 1:
+            return [[p], [complement_projector(p)]]
+        return ([[p, *rest] for rest in tree_family(dims[1:])]
+                + [[complement_projector(p), *map(random_projector, dims[1:])]])
+
+    branch_count = 0
+    for _ in range(50):
+        dims = [int(d) for d in rng.integers(2, 5, size=int(rng.integers(1, 4)))]
+        family = [HomogeneousHistory.at_times(range(len(dims)), slots)
+                  for slots in tree_family(dims)]
+        branch_count += len(family)
+        ors = disjoint_or(family)
+        assert isinstance(ors, Projector)
+        m = ors.matrix
+        assert np.max(np.abs(m - m.conj().T)) <= 1e-10
+        assert np.max(np.abs(m @ m - m)) <= 1e-10
+        assert ors.rank == sum(hpo_projector(b).rank for b in family)
+        with pytest.raises(DisjointnessError) as err:
+            disjoint_or([*family, family[0]])
+        assert err.value.pair == (0, len(family))
+    _report(10, f"50 disjoint families, {branch_count} branches: sums are projectors of"
+                " summed rank; overlaps refused")

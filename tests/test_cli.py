@@ -387,6 +387,28 @@ def test_history_refuses_branch_sum_beyond_one(capsys, tmp_path):
                    " beyond 1 cannot be realized by a single dichotomic context model\n")
 
 
+# at z, H has probability 1 and G 1/4 (lueders) or 1/8 (literal)
+OVER_ONE_EDL = (
+    "space Q dim 2;\n"
+    "state z in Q = [1, 0];\n"
+    "state d in Q = [0.7071067811865476, 0.7071067811865476];\n"
+    "proj A on Q = span [0];\nproj B on Q = span [0];\n"
+    "proj P on Q = ketbra d;\nproj NB on Q = not B;\n"
+    "history H = [0: A, 1: B];\nhistory G = [0: P, 1: NB];\n"
+    "orhistory O = or [H, G];\n"
+)
+
+
+@pytest.mark.parametrize("convention,total", [("lueders", "1.25"), ("literal", "1.125")])
+def test_verify_refuses_an_orhistory_summing_beyond_one(capsys, tmp_path, convention, total):
+    src = tmp_path / "over.edl"
+    src.write_text(OVER_ONE_EDL)
+    code, out, err = run_cli(capsys, "verify", str(src), "--convention", convention)
+    assert (code, out) == (2, "")
+    assert err == (f"error: target z|O: branch procedure probabilities sum to {total}; a sum"
+                   " beyond 1 cannot be realized by a single dichotomic context model\n")
+
+
 @pytest.mark.parametrize("model,extra", [
     ("greedy", ["--p", "0.3", "--t", "0.5"]),
     ("continuous", ["--t", "0.3", "--p", "0.5"]),

@@ -13,7 +13,6 @@ from hmsim.dichotomic import (
     DiscreteContext,
     DyadicRule,
     bloch_of_qubit,
-    continuous_outcome,
     continuous_probability,
     diagonal_coordinate,
     dyadic_outcome,
@@ -65,28 +64,9 @@ def test_bloch_vector_must_be_unit():
 def test_diagonal_coordinate_examples():
     up = BlochVector(0.0, 0.0, 1.0)
     assert diagonal_coordinate(up, up) == 0.0
-    assert diagonal_coordinate(up.antipode(), up) == 1.0
-    tilted = BlochVector.from_angles(math.pi / 3.0)
+    assert diagonal_coordinate(BlochVector(0.0, 0.0, -1.0), up) == 1.0
+    tilted = BlochVector(math.sin(math.pi / 3.0), 0.0, math.cos(math.pi / 3.0))
     assert diagonal_coordinate(tilted, up) == pytest.approx(0.25, abs=1e-12)
-
-
-def test_continuous_outcome_threshold():
-    assert continuous_outcome(0.0, 0.0) is ALPHA
-    assert continuous_outcome(0.0, 0.7) is ALPHA
-    assert continuous_outcome(0.25, 0.5) is ALPHA
-    assert continuous_outcome(0.25, 0.25) is ALPHA  # closed at u == t
-    assert continuous_outcome(0.25, 0.2499) is NOT_ALPHA
-    with pytest.raises(DomainError):
-        continuous_outcome(0.25, 1.5)
-    with pytest.raises(DomainError):
-        continuous_outcome(-0.1, 0.5)
-
-
-@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-def test_continuous_outcome_alpha_region_is_an_up_set(t, u, v):
-    lo, hi = min(u, v), max(u, v)
-    if continuous_outcome(t, lo) is ALPHA:
-        assert continuous_outcome(t, hi) is ALPHA
 
 
 def test_continuous_probability_examples():

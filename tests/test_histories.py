@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PAULI_X, random_state, random_unitary
-from hmsim.dichotomic import DichotomicOutcome
+from hmsim.dichotomic import DichotomicOutcome, dyadic_outcome
 from hmsim.errors import (
     DimensionError,
     DisjointnessError,
@@ -39,8 +39,6 @@ from hmsim.histories import (
     check_disjoint_family,
     conjugate_history,
     disjoint_or,
-    downset_contains,
-    history_hms_outcome,
     history_probability,
     hpo_negation,
     hpo_projector,
@@ -256,15 +254,6 @@ def test_dense_operators_match_kron_oracle_bytewise(layout):
     assert pp.tensor.amplitudes.tobytes() == oracle.tobytes()
 
 
-def test_downset_contains_examples():
-    family = [HomogeneousHistory.at_times([0.0, 1.0], [I2, P0])]
-    assert downset_contains(H_00, family)
-    assert downset_contains(H_00, [H_00, H_11])
-    below = [HomogeneousHistory.at_times([0.0, 1.0], [P0, I2])]
-    candidate = HomogeneousHistory.at_times([0.0, 1.0], [P1, P0])
-    assert not downset_contains(candidate, below)
-
-
 def test_pseudo_project_examples():
     single = pseudo_project(PLUS, HomogeneousHistory.at_times([0.0], [P0]))
     assert single.survival == ()
@@ -432,35 +421,12 @@ def test_negation_decompositions_same_projector_distinct_procedures():
     assert s1 == pytest.approx(s2, abs=1e-12)
 
 
-def test_history_hms_outcome_traces():
-    ident = HomogeneousHistory.at_times([0.0, 1.0], [I2, I2])
-    assert all(
-        history_hms_outcome(PLUS, ident, lam) is HistoryOutcome.A for lam in range(1, 8)
-    )
+def test_history_probability_exact_dyadics():
+    assert history_probability(PLUS, HomogeneousHistory.at_times([0.0, 1.0], [I2, I2])) == 1.0
     # amplitude 0.5 makes the probabilities exact dyadics: lueders 1/4, literal 1/16
     q = StateVector.of([0.5, math.sqrt(3.0) / 2.0])
     assert history_probability(q, H_00, Convention.LUEDERS) == 0.25
     assert history_probability(q, H_00, Convention.LITERAL) == 0.0625
-    assert history_hms_outcome(q, H_00, 1, Convention.LUEDERS) is HistoryOutcome.NOT_A
-    assert history_hms_outcome(q, H_00, 2, Convention.LUEDERS) is HistoryOutcome.A
-    assert history_hms_outcome(q, H_00, 3, Convention.LUEDERS) is HistoryOutcome.NOT_A
-    assert [history_hms_outcome(q, H_00, lam, Convention.LITERAL) for lam in range(1, 6)] == [
-        HistoryOutcome.NOT_A, HistoryOutcome.NOT_A, HistoryOutcome.NOT_A,
-        HistoryOutcome.A, HistoryOutcome.NOT_A,
-    ]
-
-
-def test_history_hms_outcome_consistent_with_dyadic_rule():
-    # the outcome is the greedy rule applied to the computed probability, even
-    # when float rounding parks that probability one ulp off a dyadic threshold
-    from hmsim.dichotomic import dyadic_outcome
-
-    for conv in Convention:
-        prob = history_probability(PLUS, H_00, conv)
-        for lam in range(1, 8):
-            expected = dyadic_outcome(prob, lam)
-            got = history_hms_outcome(PLUS, H_00, lam, conv)
-            assert (got is HistoryOutcome.A) == (expected is DichotomicOutcome.ALPHA)
 
 
 def test_hms_partial_sums_reproduce_history_probability(rng):
@@ -473,7 +439,7 @@ def test_hms_partial_sums_reproduce_history_probability(rng):
         total = sum(
             2.0**-lam
             for lam in range(1, depth + 1)
-            if history_hms_outcome(p, hist, lam) is HistoryOutcome.A
+            if dyadic_outcome(prob, lam) is DichotomicOutcome.ALPHA
         )
         # probability is not on the 2**-60 input grid, allow the grid slack
         assert -(2.0**-59) <= prob - total <= 2.0**-depth + 2.0**-59
@@ -597,7 +563,7 @@ def test_lueders_chain_matches_old_loops(case):
 
 
 def test_conjugate_history_examples():
-    same = conjugate_history(H_00, [UnitaryMap.identity(2)] * 2)
+    same = conjugate_history(H_00, [UnitaryMap(np.eye(2))] * 2)
     assert np.allclose(same.projectors[0].matrix, P0.matrix)
     x = UnitaryMap(PAULI_X)
     flipped = conjugate_history(H_00, [x, x])

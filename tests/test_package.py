@@ -2,6 +2,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tokenize
 import types
 from pathlib import Path
 
@@ -10,6 +11,14 @@ import pytest
 import hmsim
 
 SRC = str(Path(hmsim.__file__).parents[1])
+ROOT = Path(__file__).parents[1]
+# where an export may be called: the program, the benchmark replay, the paper
+# criteria and the frozen RNG tests
+CALLER_FILES = [
+    *(p for p in sorted((ROOT / "src" / "hmsim").glob("*.py")) if p.name != "__init__.py"),
+    *sorted((ROOT / "bench").glob("*.py")),
+    *(ROOT / "tests" / name for name in ("test_acceptance.py", "conftest.py", "test_rng.py")),
+]
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(hmsim.__path__))
 # OpenBLAS reads its thread count from the first of these that is set
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -31,10 +40,32 @@ def test_all_names_resolve_and_none_is_a_module():
 
 
 def test_deleted_names_are_not_exported():
-    # lambda_preimage had no caller but its tests; expand(...).outcome(lam) gives each level
-    assert "lambda_preimage" not in hmsim.__all__
-    with pytest.raises(AttributeError):
-        hmsim.lambda_preimage
+    # none had a caller but its own tests: expand(...).outcome(lam) gives each level,
+    # run_history samples dyadic_outcome(history_probability(...)) and run_dichotomic
+    # applies the continuous u >= t rule
+    for name in ("lambda_preimage", "continuous_outcome", "downset_contains",
+                 "history_hms_outcome", "inner_product"):
+        assert name not in hmsim.__all__
+        with pytest.raises(AttributeError):
+            getattr(hmsim, name)
+
+
+def code_names(path: Path) -> set[str]:
+    """Identifiers in the code of `path`, leaving out strings, comments and the
+    name a def or class line defines."""
+    names, prev = set(), None
+    with path.open("rb") as fh:
+        for tok in tokenize.tokenize(fh.readline):
+            if tok.type == tokenize.NAME and prev not in ("def", "class"):
+                names.add(tok.string)
+            prev = tok.string
+    return names
+
+
+def test_every_export_has_a_caller():
+    called = set().union(*map(code_names, CALLER_FILES))
+    assert sorted(set(hmsim.__all__) - called) == []
+    assert len(hmsim.__all__) == 56
 
 
 def test_bare_import_loads_no_numpy_and_resolves_every_name():

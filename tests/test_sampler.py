@@ -128,7 +128,8 @@ def test_bit_length_matches_int_and_shift_loop(words):
 
 
 class _ServedWords:
-    """A RandomSource stand-in whose raw64s serves one fixed word array in order."""
+    """A RandomSource stand-in that serves one fixed array in order, as raw words
+    or as uniforms."""
 
     def __init__(self, words):
         self.words, self.pos = words, 0
@@ -136,6 +137,8 @@ class _ServedWords:
     def raw64s(self, n):
         self.pos += n
         return self.words[self.pos - n:self.pos].copy()
+
+    uniforms = raw64s
 
 
 # Words whose bit length sits at a branch of _bit_length_u64 or at a float64
@@ -156,6 +159,24 @@ def test_edge_words_through_the_sampler_match_the_shift_loop(model, value, lambd
     s = run_dichotomic(model, value, n, _ServedWords(words), lambda_max)
     expected, _, flags = _alpha_flags(model, value, n, _ServedWords(words), lambda_max)
     assert (s.count_alpha, s.expected_p) == (int(flags.sum()), expected)
+
+
+@pytest.mark.parametrize("t", [0.0, 2.0**-60, 0.25, 1 / 3, 0.5, 1.0 - 2.0**-53, 1.0])
+def test_continuous_rule_is_closed_at_the_threshold(t):
+    # u == t is ALPHA; its one-ulp neighbours fall on their own sides
+    us = np.tile([np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)], 5)
+    s = run_dichotomic(Model.CONTINUOUS, t, us.size, _ServedWords(us))
+    assert s.count_alpha == sum(u >= t for u in us.tolist())
+    if 0.0 < t < 1.0:
+        assert s.count_alpha == 10
+
+
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_continuous_alpha_region_is_an_up_set(t, u, v):
+    lo, hi = sorted((u, v))
+    alpha = [run_dichotomic(Model.CONTINUOUS, t, 1, _ServedWords(np.array([x]))).count_alpha
+             for x in (lo, hi)]
+    assert alpha[0] <= alpha[1]
 
 
 def test_counts_do_not_depend_on_the_block_size(monkeypatch):
