@@ -24,9 +24,8 @@ _EXPORTS = {
         "NormalizationError", "SupportError",
     ),
     "hilbert": (
-        "Projector", "StateVector", "UnitaryMap", "apply_projector", "born_probability",
-        "complement_projector", "conjugate", "ketbra", "projector_from_span", "tensor_projectors",
-        "tensor_vectors",
+        "Projector", "StateVector", "UnitaryMap", "born_probability", "complement_projector",
+        "conjugate", "ketbra", "projector_from_span", "tensor_projectors", "tensor_vectors",
     ),
     "histories": (
         "Convention", "HistoryOutcome", "HomogeneousHistory", "InhomogeneousHistory",

@@ -33,7 +33,7 @@ requested by a single name.
 from __future__ import annotations
 
 import re
-import warnings
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, TypeVar
@@ -107,9 +107,13 @@ _TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pat})" for name, pat in (
 )), re.ASCII | re.DOTALL)
 
 
+_KINDS = {kind.name: kind for kind in TokenKind}
+
+
 def tokenize(source: str) -> list[Token]:
     """Longest-match lexing with 1-based line/column positions."""
     tokens: list[Token] = []
+    append, kinds, new = tokens.append, _KINDS, tuple.__new__  # no Python frame per token
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
@@ -119,14 +123,12 @@ def tokenize(source: str) -> list[Token]:
             line += 1
             line_start = m.end()
             continue
-        lexeme, col = m.group(), m.start() - line_start + 1
+        lexeme = m.group()
         if kind == "word":
-            tokens.append(Token(TokenKind.KEYWORD if lexeme in KEYWORDS else TokenKind.IDENT,
-                                lexeme, line, col))
+            kind = "KEYWORD" if lexeme in KEYWORDS else "IDENT"
         elif kind == "bad":
-            raise ParseError(f"illegal character {lexeme!r}", line, col)
-        else:
-            tokens.append(Token(TokenKind[kind], lexeme, line, col))
+            raise ParseError(f"illegal character {lexeme!r}", line, m.start() - line_start + 1)
+        append(new(Token, (kinds[kind], lexeme, line, m.start() - line_start + 1)))
     return tokens
 
 
@@ -465,16 +467,15 @@ def elaborate(spec: ExperimentSpec) -> Experiment:
             if not raw.amplitudes.any():
                 raise ElaborationError(f"state {st.name!r} is the zero vector", *st.pos)
             try:
-                vec = raw.normalized()
+                vec, norm = raw.normalized()
             except NormalizationError:
                 raise ElaborationError(
                     f"state {st.name!r} cannot be normalized in double precision", *st.pos
                 ) from None
-            norm = raw.norm()
             if abs(norm - 1.0) > RENORMALIZATION_WARN_TOL:
-                warnings.warn(
-                    f"state {st.name!r} renormalized (norm was {norm!r})", stacklevel=2
-                )
+                line, col = st.pos
+                print(f"warning: line {line} col {col}: state {st.name!r} renormalized"
+                      f" (norm was {norm!r})", file=sys.stderr)
         states[st.name] = vec
         state_spaces[st.name] = st.space
 

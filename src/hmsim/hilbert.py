@@ -85,17 +85,17 @@ class StateVector:
         if not self.is_normalized(tol):
             raise NormalizationError(f"state has <v|v> = {self.norm_sq()!r}, expected 1")
 
-    def normalized(self) -> "StateVector":
-        """This vector divided by its norm. Raises NormalizationError where double
-        precision leaves no unit vector: a zero norm, one that over- or
-        underflows, or a subnormal <v|v>, whose quotient misses 1."""
+    def normalized(self) -> tuple["StateVector", float]:
+        """This vector divided by its norm, and that norm. Raises NormalizationError
+        where double precision leaves no unit vector: a zero norm, one that over-
+        or underflows, or a subnormal <v|v>, whose quotient misses 1."""
         with np.errstate(over="ignore"):
             n = self.norm()
         if not 0.0 < n < math.inf:
             raise NormalizationError(f"cannot normalize a vector of norm {n!r}")
         v = StateVector(self.amplitudes / n)
         v.require_normalized()
-        return v
+        return v, n
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +127,10 @@ class Projector:
     @classmethod
     def coordinate(cls, dim: int, indices: Iterable[int]) -> "Projector":
         """0/1 diagonal projector onto the span of the basis vectors `indices`."""
-        return cls._trusted(np.diag(np.isin(np.arange(dim), list(indices))).astype(np.complex128))
+        m = np.zeros((dim, dim), dtype=np.complex128)
+        idx = list(indices)
+        m[idx, idx] = 1.0
+        return cls._trusted(m)
 
     @property
     def space_dim(self) -> int:
@@ -197,12 +200,6 @@ def ketbra(state: StateVector) -> Projector:
     a = state.amplitudes
     # exactly Hermitian; P @ P - P = (<s|s> - 1) P stays within the normalization tolerance
     return Projector._trusted(np.outer(a, a.conj()))
-
-
-def apply_projector(p: Projector, v: StateVector) -> StateVector:
-    """Pv. The result is generally unnormalized."""
-    _check_same_dim(p.space_dim, v.space_dim, "apply_projector")
-    return StateVector(p.matrix @ v.amplitudes)
 
 
 def born_probability(p: StateVector, proj: Projector) -> float:

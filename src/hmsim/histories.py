@@ -5,7 +5,9 @@ as the pure-tensor projector of its slots (the history projection operator,
 HPO, of Isham, J. Math. Phys. 35, 2157 (1994)). Negation is identity minus
 that tensor, and the "or" of a disjoint family is the sum of the branch
 tensors. Probabilities come from chaining the slot projectors through the
-initial state; the deterministic outcome at a context level is the greedy
+initial state, in one walk over amplitude arrays (_lueders_chain); only
+pseudo_project and trajectory, which return states, wrap its images as
+StateVectors. The deterministic outcome at a context level is the greedy
 dyadic rule applied to that probability (sampler.run_history).
 
 Disjointness is decided slot by slot (check_disjoint_family). Only
@@ -40,7 +42,6 @@ from .errors import (
 from .hilbert import (
     Projector,
     StateVector,
-    apply_projector,
     complement_projector,
     conjugate,
     tensor_projectors,
@@ -209,21 +210,20 @@ def _require_state_fits(p: StateVector, a: HomogeneousHistory) -> None:
             )
 
 
-def _lueders_chain(p: StateVector, projectors):
-    """(survival, renormalized image) per slot of the Lueders chain.
+def _lueders_chain(amps: np.ndarray, projectors):
+    """(survival, renormalized image) per slot of the Lueders chain, on amplitude arrays.
 
     At the first slot whose survival is below ZERO_SURVIVAL_TOL the image is
     None and the walk stops.
     """
-    state = p
     for proj in projectors:
-        w = apply_projector(proj, state)
-        s = w.norm_sq()
+        w = proj.matrix @ amps
+        s = float(np.real(np.vdot(w, w)))
         if s < ZERO_SURVIVAL_TOL:
             yield s, None
             return
-        state = StateVector(w.amplitudes / math.sqrt(s))
-        yield s, state
+        amps = w / math.sqrt(s)
+        yield s, amps
 
 
 def pseudo_project(p: StateVector, a: HomogeneousHistory) -> PseudoProjection:
@@ -231,11 +231,11 @@ def pseudo_project(p: StateVector, a: HomogeneousHistory) -> PseudoProjection:
     _require_state_fits(p, a)
     chain: list[StateVector] = [p]
     survival: list[float] = []
-    for s, q in _lueders_chain(p, a.projectors[:-1]):
+    for s, q in _lueders_chain(p.amplitudes, a.projectors[:-1]):
         survival.append(s)
         if q is None:
             return PseudoProjection(tuple(chain), tuple(survival), True)
-        chain.append(q)
+        chain.append(StateVector(q))
     return PseudoProjection(tuple(chain), tuple(survival), False)
 
 
@@ -252,7 +252,7 @@ def history_probability(
     _require_state_fits(p, a)
     if convention is Convention.LUEDERS:
         prob = 1.0
-        for s, q in _lueders_chain(p, a.projectors):
+        for s, q in _lueders_chain(p.amplitudes, a.projectors):
             if q is None:
                 return 0.0
             prob *= s
@@ -297,10 +297,10 @@ def trajectory(
         return None
     _require_state_fits(p, a)
     states: list[StateVector] = []
-    for _, q in _lueders_chain(p, a.projectors):
+    for _, q in _lueders_chain(p.amplitudes, a.projectors):
         if q is None:
             raise InfeasibleError("affirmative outcome has probability zero")
-        states.append(q)
+        states.append(StateVector(q))
     return tuple(states)
 
 

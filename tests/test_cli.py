@@ -10,10 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmsim.cli import RunConfig, _verify_targets, main
+from hmsim.cli import (
+    HISTORY_COLUMNS,
+    VERIFY_COLUMNS,
+    RunConfig,
+    _verify_targets,
+    emit_report,
+    main,
+)
+from hmsim.dichotomic import DyadicRule
 from hmsim.edl import elaborate, parse_text
 from hmsim.hilbert import born_probability
 from hmsim.histories import Convention, history_probability, inhomogeneous_probability
+from hmsim.sampler import exact_check
 
 CORPUS = Path(__file__).parent / "edl_corpus"
 
@@ -252,8 +261,8 @@ def test_truncated_input_names_the_end_of_input_once(capsys, monkeypatch):
     assert err == "error: line 1 col 14: found end of input (expected ';')\n"
 
 
-# any warning (numpy's overflow RuntimeWarning, the renormalization notice)
-# escapes main as an exception and fails the test
+# any warning (numpy's overflow RuntimeWarning, for one) escapes main as an
+# exception and fails the test
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("amplitudes", ["1e200, 0", "1e-200, 1e-200"])
 @pytest.mark.parametrize("subcommand", ["parse-check", "verify"])
@@ -537,3 +546,70 @@ def test_verify_targets_match_the_nested_loop(rnd, convention):
     exp = elaborate(parse_text(random_experiment_source(rnd)))
     config = RunConfig("verify", convention=convention)
     assert _verify_targets(config, exp) == verify_targets_oracle(config, exp)
+
+
+# The report writer as it was when every row was a dict, kept as the oracle for
+# emit_report on tuple rows (verify) and on dict rows (sample, sphere, history).
+def _csv_cell_oracle(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
+
+
+def emit_report_oracle(command, columns, rows, config, out):
+    if config.format == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_csv_cell_oracle(row.get(c)) for c in columns])
+    else:
+        doc = {"command": command, "rows": [{c: row.get(c) for c in columns} for row in rows]}
+        json.dump(doc, out, indent=2)
+        out.write("\n")
+
+
+def report_pair(command, columns, rows, oracle_rows, fmt):
+    config = RunConfig(command, format=fmt, timestamp=False)
+    got, expected = io.StringIO(), io.StringIO()
+    emit_report(command, columns, rows, config, out=got)
+    emit_report_oracle(command, columns, oracle_rows, config, out=expected)
+    return got.getvalue(), expected.getvalue()
+
+
+EDGE_TARGETS = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5, 2.0**-60, 0.3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(EDGE_TARGETS) | st.floats(0.0, 1.0), max_size=6),
+       st.integers(1, 60), st.sampled_from(["csv", "json"]))
+def test_tuple_rows_give_the_bytes_of_dict_rows(targets, level, fmt):
+    rows, dict_rows = [], []
+    for k, prob in enumerate(targets):
+        for rule in (DyadicRule.GREEDY, DyadicRule.GEOMETRIC):
+            rep = exact_check(prob, level, rule)
+            label = f"s{k}|p{k}"
+            rows.append((label, rule.value, prob, level, rep.partial_sum, rep.abs_error,
+                         rep.bound_satisfied, rep.tail_mass))
+            dict_rows.append({"target": label, "rule": rule.value, "P": prob, "L": level,
+                              **rep.to_record()})
+    got, expected = report_pair("verify", VERIFY_COLUMNS, rows, dict_rows, fmt)
+    assert got == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_dict_rows_give_the_bytes_of_the_dict_writer(fmt):
+    # missing columns, None, bools, ints, floats and text that CSV must quote
+    rows = [
+        {"name": "H", "branch": None, "lueders_p": 0.25, "literal_p": 5e-324, "n_trials": 0,
+         "trajectory": json.dumps([[[1.0, -0.0], [0.0, 0.0]]])},
+        {"name": 'a "quoted", name', "branch": "*", "lueders_p": 1.0 - 2.0**-53,
+         "literal_p": 1.0, "n_trials": 10, "lueders_freq": 0.5, "lueders_z": math.inf,
+         "literal_freq": False, "literal_z": True},
+        {},
+    ]
+    got, expected = report_pair("history", HISTORY_COLUMNS, rows, rows, fmt)
+    assert got == expected

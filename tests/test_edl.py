@@ -28,6 +28,7 @@ from hmsim.edl import (
     Token,
     TokenKind,
     _COMPLEX_RE,
+    _TOKEN_RE,
     elaborate,
     parse,
     parse_bytes,
@@ -181,11 +182,14 @@ def test_elaborate_ketbra_and_not():
     assert np.allclose(exp.projectors["Pm"].matrix, [[0.5, -0.5], [-0.5, 0.5]])
 
 
-def test_elaborate_renormalizes_with_warning():
-    src = "space Q dim 2;\nstate s in Q = [1.0, 1.0];\n"
-    with pytest.warns(UserWarning, match="renormalized"):
-        exp = elaborate(parse_text(src))
-    assert exp.states["s"].is_normalized()
+@pytest.mark.filterwarnings("error")
+def test_elaborate_renormalizes_with_warning(capsys):
+    src = "space Q dim 2;\nstate d in Q = [1.0, 1.0];\nstate u in Q = [1, 0];\n"
+    exp = elaborate(parse_text(src))
+    assert exp.states["d"].is_normalized()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "warning: line 2 col 7: state 'd' renormalized (norm was 1.4142135623730951)\n"
 
 
 @pytest.mark.parametrize("amplitudes, message", [
@@ -423,6 +427,42 @@ def test_tokenize_matches_the_per_character_lexer_on_the_corpus():
     for path in sorted(CORPUS.glob("*.edl")):
         text = path.read_bytes().decode("utf-8", errors="replace")
         assert _lex(tokenize, text) == _lex(tokenize_oracle, text), path.name
+
+
+def tokenize_named_tuple_oracle(source: str) -> list[Token]:
+    """tokenize as it was before it built tokens with tuple.__new__ and a kind
+    table: each token through Token(...), each kind through TokenKind[...]."""
+    tokens: list[Token] = []
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "blank":
+            continue
+        if kind == "newline":
+            line += 1
+            line_start = m.end()
+            continue
+        lexeme, col = m.group(), m.start() - line_start + 1
+        if kind == "word":
+            tokens.append(Token(TokenKind.KEYWORD if lexeme in KEYWORDS else TokenKind.IDENT,
+                                lexeme, line, col))
+        elif kind == "bad":
+            raise ParseError(f"illegal character {lexeme!r}", line, col)
+        else:
+            tokens.append(Token(TokenKind[kind], lexeme, line, col))
+    return tokens
+
+
+@settings(max_examples=1000, deadline=None)
+@given(edl_like_text)
+def test_tokenize_matches_the_named_tuple_loop(text):
+    got, expected = _lex(tokenize, text), _lex(tokenize_named_tuple_oracle, text)
+    assert got == expected
+    if isinstance(expected, list):
+        for t, o in zip(got, expected):
+            assert type(t) is Token
+            assert t.kind is o.kind
+            assert (t.lexeme, t.line, t.column) == (o.lexeme, o.line, o.column)
 
 
 @settings(max_examples=400, deadline=None)

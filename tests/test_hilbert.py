@@ -18,7 +18,6 @@ from hmsim.hilbert import (
     Projector,
     StateVector,
     UnitaryMap,
-    apply_projector,
     born_probability,
     complement_projector,
     conjugate,
@@ -43,6 +42,12 @@ def test_projector_from_span_basis_vectors():
     assert np.allclose(projector_from_span([E0, E1]).matrix, np.eye(2))
 
 
+def coordinate_oracle(dim, indices):
+    """The 0/1 diagonal as Projector.coordinate built it before it assigned the
+    diagonal of a zero matrix, kept as the oracle."""
+    return np.diag(np.isin(np.arange(dim), list(indices))).astype(np.complex128)
+
+
 def test_coordinate_projector_is_the_span_of_its_basis_vectors(rng):
     # every ordered index set up to dim 6, then random ones up to dim 64
     cases = [(dim, idx) for dim in range(1, 7) for k in range(1, dim + 1)
@@ -53,6 +58,13 @@ def test_coordinate_projector_is_the_span_of_its_basis_vectors(rng):
     for dim, idx in cases:
         span = projector_from_span([StateVector.basis(dim, i) for i in idx])
         assert Projector.coordinate(dim, idx).matrix.tobytes() == span.matrix.tobytes()
+        # as a tuple, a numpy array and a generator too
+        for given_as in (tuple(idx), np.array(idx), (i for i in idx)):
+            got = Projector.coordinate(dim, given_as).matrix
+            assert got.tobytes() == coordinate_oracle(dim, idx).tobytes()
+    for dim in (1, 5, 64):  # no index: the zero projector
+        empty = Projector.coordinate(dim, np.array([], dtype=np.int64)).matrix
+        assert empty.tobytes() == coordinate_oracle(dim, []).tobytes()
 
 
 def test_projector_from_span_plus_state():
@@ -77,26 +89,9 @@ def test_projector_from_span_fixes_members(rng):
             assert np.linalg.norm(p.matrix @ v.amplitudes - v.amplitudes) <= 1e-10
 
 
-def test_apply_projector_examples():
-    assert np.allclose(apply_projector(P0, E1).amplitudes, [0.0, 0.0])
-    assert np.allclose(apply_projector(P0, PLUS).amplitudes, [INV2, 0.0])
-    assert np.allclose(apply_projector(P_PLUS, E0).amplitudes, [0.5, 0.5])
-
-
 def test_dimension_mismatch_is_refused():
     with pytest.raises(DimensionError):
-        apply_projector(P0, StateVector.basis(3, 0))
-    with pytest.raises(DimensionError):
         born_probability(StateVector.basis(3, 0), P0)
-
-
-def test_apply_projector_is_idempotent(rng):
-    for _ in range(50):
-        v = random_state(rng, 4)
-        p = projector_from_span([random_state(rng, 4), random_state(rng, 4)])
-        once = apply_projector(p, v)
-        twice = apply_projector(p, once)
-        assert np.max(np.abs(twice.amplitudes - once.amplitudes)) <= 1e-10
 
 
 def test_born_probability_examples():
@@ -121,7 +116,9 @@ def test_normalized_refuses_vectors_double_precision_cannot_normalize(amplitudes
 
 def test_normalized_divides_by_the_norm():
     v = StateVector.of([3.0, 4.0j])
-    assert v.normalized().amplitudes.tobytes() == (v.amplitudes / 5.0).tobytes()
+    unit, norm = v.normalized()
+    assert unit.amplitudes.tobytes() == (v.amplitudes / 5.0).tobytes()
+    assert norm == v.norm() == 5.0
 
 
 def test_born_probability_requires_normalized_state():
@@ -231,8 +228,7 @@ def test_trusted_projectors_match_the_validating_constructor(dim, seed):
     state = random_state(rng, dim)
     span = projector_from_span([random_state(rng, dim) for _ in range(min(dim, 3))])
     cases = [
-        (Projector.coordinate(dim, indices),
-         np.diag(np.isin(np.arange(dim), indices)).astype(np.complex128)),
+        (Projector.coordinate(dim, indices), coordinate_oracle(dim, indices)),
         (ketbra(state), np.outer(state.amplitudes, state.amplitudes.conj())),
     ]
     cases += [(complement_projector(p), np.eye(dim, dtype=np.complex128) - p.matrix)

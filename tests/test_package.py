@@ -42,9 +42,10 @@ def test_all_names_resolve_and_none_is_a_module():
 def test_deleted_names_are_not_exported():
     # none had a caller but its own tests: expand(...).outcome(lam) gives each level,
     # run_history samples dyadic_outcome(history_probability(...)) and run_dichotomic
-    # applies the continuous u >= t rule
+    # applies the continuous u >= t rule; the Lueders chain applies each slot's
+    # matrix to its amplitude array, as apply_projector did
     for name in ("lambda_preimage", "continuous_outcome", "downset_contains",
-                 "history_hms_outcome", "inner_product"):
+                 "history_hms_outcome", "inner_product", "apply_projector"):
         assert name not in hmsim.__all__
         with pytest.raises(AttributeError):
             getattr(hmsim, name)
@@ -65,7 +66,7 @@ def code_names(path: Path) -> set[str]:
 def test_every_export_has_a_caller():
     called = set().union(*map(code_names, CALLER_FILES))
     assert sorted(set(hmsim.__all__) - called) == []
-    assert len(hmsim.__all__) == 56
+    assert len(hmsim.__all__) == 55
 
 
 def test_bare_import_loads_no_numpy_and_resolves_every_name():
