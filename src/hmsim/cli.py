@@ -45,24 +45,26 @@ from typing import TYPE_CHECKING, Iterable
 # wake it busy-waits for about 135 ms of CPU (2 vCPUs, scipy-openblas 0.3.31).
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import numpy as np  # noqa: E402
+
 from .dichotomic import (  # noqa: E402
     LAMBDA_CAP,
     BlochVector,
     DyadicRule,
+    _exact_checks,
     bloch_of_qubit,
     continuous_probability,
     diagonal_coordinate,
     qubit_from_angles,
 )
 from .errors import HmsimError  # noqa: E402
-from .hilbert import Projector, born_probability, vector_to_json  # noqa: E402
+from .hilbert import Projector, _born, born_probability, vector_to_json  # noqa: E402
 from .histories import (  # noqa: E402
     Convention,
     HistoryOutcome,
-    HomogeneousHistory,
-    InhomogeneousHistory,
+    _branch_total,
+    _chain_probability,
     history_probability,
-    inhomogeneous_probability,
     trajectory,
 )
 from .rng import RandomSource  # noqa: E402
@@ -71,7 +73,6 @@ from .sampler import (  # noqa: E402
     _check_branch_sum,
     exact_check,
     run_dichotomic,
-    run_history,
 )
 
 if TYPE_CHECKING:
@@ -106,6 +107,21 @@ class RunConfig:
     timestamp: bool = True
 
 
+def _csv_column(col: tuple) -> list[str]:
+    """The CSV cells of one column, each distinct cell formatted once. Equal values
+    can print differently (0.0 and -0.0; 1, 1.0 and True), so floats are keyed by
+    their bits, a column of one other type by value, and mixed types not at all."""
+    types = set(map(type, col))
+    if types == {float}:
+        keys = np.array(col).view(np.int64).tolist()
+    else:
+        keys = col if len(types) == 1 and not isinstance(col[0], float) else range(len(col))
+    cell = {k: "" if v is None else f"{v:.17g}" if isinstance(v, float)
+            else ("true" if v else "false") if isinstance(v, bool) else str(v)
+            for k, v in dict(zip(keys, col)).items()}
+    return list(map(cell.__getitem__, keys))
+
+
 def emit_report(command: str, columns: list[str], rows: Iterable[tuple | dict],
                 config: RunConfig, out=None) -> None:
     """Write the report. A row is a tuple in `columns` order, or a dict read by
@@ -118,10 +134,12 @@ def emit_report(command: str, columns: list[str], rows: Iterable[tuple | dict],
             out.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(
-            ["" if v is None else f"{v:.17g}" if isinstance(v, float)
-             else ("true" if v else "false") if isinstance(v, bool) else str(v) for v in row]
-            for row in rows)
+        cells = list(zip(*map(_csv_column, zip(*rows))))
+        # a cell holding a delimiter, quote or line end goes to csv, which quotes it
+        if any(c in "".join(set().union(*cells)) for c in ',"\r\n'):
+            writer.writerows(cells)
+        else:
+            out.writelines(line + "\n" for line in map(",".join, cells))
     else:
         doc: dict = {"command": command}
         if config.timestamp:
@@ -165,17 +183,20 @@ def _verify_targets(config: RunConfig, exp: Experiment) -> list[tuple[str, float
     histories = _grouped((n, frozenset(h.factor_dims)) for n, h in exp.histories.items())
     orhistories = _grouped((n, frozenset(o.branches[0].factor_dims))
                            for n, o in exp.orhistories.items())
+    conv = config.convention
     targets: list[tuple[str, float]] = []
     for sname, state in exp.states.items():
-        dims = frozenset([state.space_dim])
+        state.require_normalized()  # once: each group holds only declarations of its dim
+        amps, dims = state.amplitudes, frozenset([state.space_dim])
         for pname in projectors.get(exp.state_spaces[sname], []):
-            targets.append((f"{sname}|{pname}", born_probability(state, exp.projectors[pname])))
+            targets.append((f"{sname}|{pname}", _born(amps, exp.projectors[pname])))
         for hname in histories.get(dims, []):
             targets.append((f"{sname}|{hname}",
-                            history_probability(state, exp.histories[hname], config.convention)))
+                            _chain_probability(amps, exp.histories[hname].projectors, conv)))
         for oname in orhistories.get(dims, []):
             label = f"{sname}|{oname}"
-            prob = inhomogeneous_probability(state, exp.orhistories[oname], config.convention)
+            prob = _branch_total(_chain_probability(amps, b.projectors, conv)
+                                 for b in exp.orhistories[oname].branches)
             targets.append((label, _check_branch_sum(prob, f"target {label}: ")))
     return targets
 
@@ -185,17 +206,15 @@ def cmd_verify(config: RunConfig, target_p: float | None) -> int:
         targets = [("p", float(target_p))]
     else:
         targets = _verify_targets(config, _load(config.input_path)[1])
-    rows = []
-    all_ok = True
-    for label, prob in targets:
-        for rule in (DyadicRule.GREEDY, DyadicRule.GEOMETRIC):
-            rep = exact_check(prob, config.level, rule)
-            all_ok = all_ok and rep.bound_satisfied
-            # in VERIFY_COLUMNS order
-            rows.append((label, rule.value, prob, config.level, rep.partial_sum,
-                         rep.abs_error, rep.bound_satisfied, rep.tail_mass))
+    partial_sums, abs_errors, oks = _exact_checks([p for _, p in targets], config.level)
+    n = len(oks)
+    # in VERIFY_COLUMNS order: a greedy, then a geometric row per target
+    rows = zip([label for label, _ in targets for _ in range(2)],
+               [DyadicRule.GREEDY.value, DyadicRule.GEOMETRIC.value] * len(targets),
+               [p for _, p in targets for _ in range(2)], [config.level] * n,
+               partial_sums, abs_errors, oks, [2.0 ** -config.level] * n)
     emit_report("verify", VERIFY_COLUMNS, rows, config)
-    return 0 if all_ok else 1
+    return 0 if all(oks) else 1
 
 
 def cmd_sample(config: RunConfig, model: Model, value: float) -> int:
@@ -260,32 +279,29 @@ def cmd_history(config: RunConfig, name: str, state_name: str) -> int:
 
     rows = []
     ok = True
-    entries: list[tuple[str, HomogeneousHistory | InhomogeneousHistory, str | None]]
     if homogeneous is not None:
-        entries = [(name, homogeneous, None)]
+        entries = [(homogeneous, None)]
     else:
         assert orhist is not None
-        branch_names = spec.orhistories[name].branches
-        entries = [(name, b, label) for label, b in zip(branch_names, orhist.branches)]
-        entries.append((name, orhist, "*"))
+        entries = [*zip(orhist.branches, spec.orhistories[name].branches), (None, "*")]
     stream = 0
-    for label, hist, branch in entries:
-        family = isinstance(hist, InhomogeneousHistory)
-        prob_of = inhomogeneous_probability if family else history_probability
-        row = {"name": label, "branch": branch, "n_trials": config.trials}
+    for hist, branch in entries:
+        row = {"name": name, "branch": branch, "n_trials": config.trials}
         for conv in Convention:
+            key = f"{conv.value}_p"
+            # the "*" row sums the branch rows above it, as inhomogeneous_probability does
+            row[key] = (_branch_total(r[key] for r in rows) if hist is None
+                        else history_probability(state, hist, conv))
             if config.trials == 0:
-                row[f"{conv.value}_p"] = prob_of(state, hist, conv)
                 continue
-            s = run_history(state, hist, conv, config.trials,
-                            RandomSource(config.seed, stream), config.lambda_max)
+            # sampled as run_history samples it; a history's probability is at most 1
+            s = run_dichotomic(Model.GREEDY, _check_branch_sum(row[key]), config.trials,
+                               RandomSource(config.seed, stream), config.lambda_max)
             stream += 1
-            # the sampled probability is the history's, so each is computed once
-            row[f"{conv.value}_p"] = s.expected_p
             row[f"{conv.value}_freq"] = s.frequency
             row[f"{conv.value}_z"] = s.z_score
             ok = ok and abs(s.z_score) < Z_THRESHOLD
-        if not family and row["lueders_p"] > 0.0:
+        if hist is not None and row["lueders_p"] > 0.0:
             states = trajectory(state, hist, HistoryOutcome.A)
             row["trajectory"] = json.dumps([vector_to_json(v) for v in states])
         rows.append(row)

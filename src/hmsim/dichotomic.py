@@ -27,7 +27,8 @@ greedy rule keeps ``num >> s`` (``2**depth - 1`` when the target is 1), and
 the parity rule keeps the complement of the digits of t,
 ``2**depth - 1 - (t_num >> s)`` (0 when t is 1). Level i answers ALPHA iff
 digit ``depth - i`` of that integer is set, and the integer shifted left by
-``s`` is the partial sum on the ``2**-bits`` grid.
+``s`` is the partial sum on the ``2**-bits`` grid. Neither rule branches, so
+the same shifts serve a Python int (``expand``) and an int64 array (``_exact_checks``).
 """
 
 from __future__ import annotations
@@ -143,28 +144,26 @@ def _fixed_point(x: float, depth: int) -> tuple[int, int]:
     return round(x * float(1 << SCALE_BITS)) << (bits - SCALE_BITS), bits
 
 
-def _greedy_digits(num: int, bits: int, depth: int) -> int:
-    """Greedy binary decomposition of num/2**bits down to level `depth` <= `bits`.
+def _greedy_digits(num, s: int, depth: int):
+    """Greedy binary decomposition of num/2**bits down to level `depth`, s = bits - depth.
 
     Level i is ALPHA iff the target is >= the running sum plus 2**-i, with
     the comparison closed (>=), so exact hits are taken: that is numerator
-    bit bits-i, or every level for a target of 1.
+    bit bits-i, or every level for a target of 1, the one with g >> depth = 1.
     """
-    if num >= 1 << bits:
-        return (1 << depth) - 1
-    return num >> (bits - depth)
+    g = num >> s
+    return g - (g >> depth)
 
 
-def _parity_digits(t_num: int, bits: int, depth: int) -> int:
+def _parity_digits(t_num, s: int, depth: int):
     """Even-cell rule: level i is ALPHA iff floor(t * 2**i) is even, i.e. iff
-    bit bits-i of t_num is clear (`depth` <= `bits`).
+    bit bits-i of t_num is clear (s = bits - depth).
 
-    t = 1 exactly never answers ALPHA, so that a state antipodal to the
-    measurement direction has ALPHA probability exactly zero.
+    t = 1 exactly never answers ALPHA (there q >> depth = 1), so that a state
+    antipodal to the measurement direction has ALPHA probability exactly zero.
     """
-    if t_num == 1 << bits:
-        return 0
-    return (1 << depth) - 1 - (t_num >> (bits - depth))
+    q = t_num >> s
+    return (1 << depth) - 1 - q + (q >> depth)
 
 
 @dataclass(frozen=True)
@@ -217,18 +216,34 @@ class DyadicExpansion:
         return 0 <= self.abs_error_numerator <= (1 << (self.bits - self.depth))
 
 
-def _parity_expansion(t_num: int, bits: int, depth: int) -> DyadicExpansion:
-    return DyadicExpansion((1 << bits) - t_num, bits, depth, _parity_digits(t_num, bits, depth))
+def _parity_expansion(t: int, bits: int, depth: int) -> DyadicExpansion:
+    return DyadicExpansion((1 << bits) - t, bits, depth, _parity_digits(t, bits - depth, depth))
 
 
 def expand(prob: float, depth: int, rule: DyadicRule = DyadicRule.GREEDY) -> DyadicExpansion:
     """Level outcomes 1..depth for target ALPHA probability `prob`."""
     num, bits = _fixed_point(prob, depth)
     if rule is DyadicRule.GREEDY:
-        return DyadicExpansion(num, bits, depth, _greedy_digits(num, bits, depth))
+        return DyadicExpansion(num, bits, depth, _greedy_digits(num, bits - depth, depth))
     if rule is DyadicRule.GEOMETRIC:
         return _parity_expansion((1 << bits) - num, bits, depth)
     raise DomainError(f"unknown rule {rule!r}")
+
+
+def _exact_checks(probs: list[float], level: int) -> tuple[list, list, list]:
+    """The partial_sum, abs_error and bound_satisfied columns of sampler.exact_check for
+    each target under GREEDY, then GEOMETRIC, at a level <= SCALE_BITS, in int64. rint
+    rounds ties to even, as round does; int64 -> float64 / 2**60 rounds as int / int."""
+    p = np.asarray(probs, dtype=np.float64)
+    bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))  # NaN too, refused as expand does
+    if bad.size:
+        _check_unit_interval(probs[bad[0]], "probability")
+    one, s = 1 << SCALE_BITS, SCALE_BITS - level
+    num = np.rint(p * float(one)).astype(np.int64)
+    partial = np.stack((_greedy_digits(num, s, level), _parity_digits(one - num, s, level)), 1) << s
+    err = num[:, None] - partial
+    return ((partial / one).ravel().tolist(), (err / one).ravel().tolist(),
+            ((err >= 0) & (err <= 1 << s)).ravel().tolist())
 
 
 def expand_geometric_t(t: float, depth: int) -> DyadicExpansion:

@@ -94,17 +94,18 @@ class ElaborationError(HmsimError):
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _END = r"(?![A-Za-z0-9_.])"  # a number may not run into a word or a further dot
 _COMPLEX_RE = re.compile(rf"(-?{_NUM})([+-])({_NUM})i{_END}", re.ASCII)
-# One alternation, tried in this order at each offset; `bad` catches what the others refuse.
-_TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pat})" for name, pat in (
+# Blanks and comments, then one alternation tried in order. `end` takes the blanks at the
+# end of input, which `bad` would otherwise catch; `bad` catches what the others refuse.
+_TOKEN_RE = re.compile(r"(?:[ \t\r]+|#[^\n]*)*(?:" + "|".join(f"(?P<{k}>{p})" for k, p in (
     ("COMPLEX", _COMPLEX_RE.pattern),
     ("FLOAT", rf"-?(?:(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+){_END}"),
     ("INT", rf"-?\d+{_END}"),
     ("word", r"[A-Za-z_][A-Za-z0-9_]*"),
     ("PUNCT", r"[;=\[\](),:]"),
-    ("blank", r"[ \t\r]+|#[^\n]*"),
     ("newline", r"\n"),
+    ("end", r"\Z"),
     ("bad", "."),
-)), re.ASCII | re.DOTALL)
+)) + ")", re.ASCII | re.DOTALL)
 
 
 _KINDS = {kind.name: kind for kind in TokenKind}
@@ -117,18 +118,18 @@ def tokenize(source: str) -> list[Token]:
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        if kind == "blank":
-            continue
         if kind == "newline":
             line += 1
             line_start = m.end()
             continue
-        lexeme = m.group()
+        if kind == "end":
+            break
+        lexeme, column = m.group(kind), m.start(kind) - line_start + 1
         if kind == "word":
             kind = "KEYWORD" if lexeme in KEYWORDS else "IDENT"
         elif kind == "bad":
-            raise ParseError(f"illegal character {lexeme!r}", line, m.start() - line_start + 1)
-        append(new(Token, (kinds[kind], lexeme, line, m.start() - line_start + 1)))
+            raise ParseError(f"illegal character {lexeme!r}", line, column)
+        append(new(Token, (kinds[kind], lexeme, line, column)))
     return tokens
 
 

@@ -206,7 +206,12 @@ def born_probability(p: StateVector, proj: Projector) -> float:
     """||P p||^2 for a normalized state p; clamped into [0, 1]."""
     p.require_normalized()
     _check_same_dim(p.space_dim, proj.space_dim, "born_probability")
-    w = proj.matrix @ p.amplitudes
+    return _born(p.amplitudes, proj)
+
+
+def _born(amps: np.ndarray, proj: Projector) -> float:
+    """born_probability of a normalized state's amplitudes, of the projector's dim."""
+    w = proj.matrix @ amps
     val = float(np.real(np.vdot(w, w)))
     if val < -NORMALIZATION_TOL or val > 1.0 + NORMALIZATION_TOL:
         raise InvariantError(f"probability {val!r} outside [0,1] beyond tolerance")

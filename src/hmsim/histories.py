@@ -250,17 +250,21 @@ def history_probability(
     cumulative survivals ||pi_k ... pi_1 p||^2 over all slots.
     """
     _require_state_fits(p, a)
+    return _chain_probability(p.amplitudes, a.projectors, convention)
+
+
+def _chain_probability(amps: np.ndarray, projectors, convention: Convention) -> float:
+    """history_probability of a normalized state's amplitudes, of every slot's dim."""
     if convention is Convention.LUEDERS:
         prob = 1.0
-        for s, q in _lueders_chain(p.amplitudes, a.projectors):
+        for s, q in _lueders_chain(amps, projectors):
             if q is None:
                 return 0.0
             prob *= s
         return min(prob, 1.0)
     if convention is Convention.LITERAL:
-        amps = p.amplitudes
         prob = 1.0
-        for proj in a.projectors:
+        for proj in projectors:
             amps = proj.matrix @ amps
             prob *= float(np.real(np.vdot(amps, amps)))
             if prob < ZERO_SURVIVAL_TOL:
@@ -279,10 +283,13 @@ def inhomogeneous_probability(
     (each branch is its own procedure, so the terms need not be exclusive
     events of a single experiment) and are returned as computed.
     """
-    total = sum(history_probability(p, b, convention) for b in h.branches)
-    if 1.0 < total <= 1.0 + 1e-12:
-        return 1.0
-    return total
+    return _branch_total(history_probability(p, b, convention) for b in h.branches)
+
+
+def _branch_total(probs) -> float:
+    """Branch probabilities summed in the order given; see inhomogeneous_probability."""
+    total = sum(probs)
+    return 1.0 if 1.0 < total <= 1.0 + 1e-12 else total
 
 
 def trajectory(

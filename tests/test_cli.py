@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -5,6 +6,7 @@ import json
 import math
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +17,14 @@ from hmsim.cli import (
     VERIFY_COLUMNS,
     RunConfig,
     _verify_targets,
+    cmd_verify,
     emit_report,
     main,
 )
 from hmsim.dichotomic import DyadicRule
 from hmsim.edl import elaborate, parse_text
-from hmsim.hilbert import born_probability
+from hmsim.errors import NormalizationError
+from hmsim.hilbert import StateVector, born_probability
 from hmsim.histories import Convention, history_probability, inhomogeneous_probability
 from hmsim.sampler import exact_check
 
@@ -61,6 +65,27 @@ def test_verify_domain_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--p", "1.5")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("p,message", [
+    ("nan", "probability must be a real number in [0,1], got nan"),
+    ("inf", "probability=inf outside [0,1]"),
+    ("-1e-300", "probability=-1e-300 outside [0,1]"),
+    ("1.0000000000000002", "probability=1.0000000000000002 outside [0,1]"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_refuses_a_target_outside_the_unit_interval(capsys, p, message, fmt):
+    code, out, err = run_cli(capsys, "verify", f"--p={p}", "--format", fmt)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_verify_without_targets_writes_the_header_alone(capsys, tmp_path):
+    src = tmp_path / "no_states.edl"
+    src.write_text("space Q dim 2;\nproj P on Q = span [0];\n")
+    code, out, _ = run_cli(capsys, "verify", str(src), "--no-timestamp")
+    assert (code, out) == (0, ",".join(VERIFY_COLUMNS) + "\n")
+    code, out, _ = run_cli(capsys, "verify", str(src), "--no-timestamp", "--format", "json")
+    assert (code, out) == (0, '{\n  "command": "verify",\n  "rows": []\n}\n')
 
 
 def test_verify_from_edl_file(capsys):
@@ -359,7 +384,7 @@ def test_verify_names_a_refused_flag_after_p(capsys):
 
 
 def test_history_computes_each_probability_once(capsys, monkeypatch, tmp_path):
-    # 2 branch rows and the "*" row of 2 branches, each under 2 conventions
+    # 2 branch rows under 2 conventions; the "*" row sums the branch rows
     import hmsim.cli
     import hmsim.histories
     import hmsim.sampler
@@ -376,7 +401,7 @@ def test_history_computes_each_probability_once(capsys, monkeypatch, tmp_path):
     orhist.write_text(ORHIST_EDL)
     code, _, _ = run_cli(capsys, "history", str(orhist), "--name", "AB", "--state", "plus",
                          "--trials", "2000", "--no-timestamp")
-    assert (code, len(counted)) == (0, 8)
+    assert (code, len(counted)) == (0, 4)
 
 
 def test_history_refuses_branch_sum_beyond_one(capsys, tmp_path):
@@ -548,6 +573,14 @@ def test_verify_targets_match_the_nested_loop(rnd, convention):
     assert _verify_targets(config, exp) == verify_targets_oracle(config, exp)
 
 
+def test_verify_targets_refuse_an_unnormalized_state():
+    # each state is checked once, before the unchecked cores read its amplitudes
+    exp = elaborate(parse_text((CORPUS / "valid_11.edl").read_text()))
+    exp.states["plus"] = StateVector.of([1.0, 1.0])
+    with pytest.raises(NormalizationError):
+        _verify_targets(RunConfig("verify"), exp)
+
+
 # The report writer as it was when every row was a dict, kept as the oracle for
 # emit_report on tuple rows (verify) and on dict rows (sample, sphere, history).
 def _csv_cell_oracle(v) -> str:
@@ -580,6 +613,27 @@ def report_pair(command, columns, rows, oracle_rows, fmt):
     return got.getvalue(), expected.getvalue()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1).map(random.Random), st.integers(1, 60),
+       st.sampled_from(list(Convention)), st.sampled_from(["csv", "json"]))
+def test_verify_report_matches_the_scalar_checks(rnd, level, convention, fmt):
+    # the nested loop and one exact_check per row and rule, kept as the oracle
+    spec = parse_text(random_experiment_source(rnd))
+    exp = elaborate(spec)
+    config = RunConfig("verify", input_path="-", level=level, convention=convention,
+                       format=fmt, timestamp=False)
+    rows = [{"target": label, "rule": rule.value, "P": prob, "L": level,
+             **exact_check(prob, level, rule).to_record()}
+            for label, prob in verify_targets_oracle(config, exp)
+            for rule in (DyadicRule.GREEDY, DyadicRule.GEOMETRIC)]
+    expected = io.StringIO()
+    emit_report_oracle("verify", VERIFY_COLUMNS, rows, config, expected)
+    with mock.patch("hmsim.cli._load", return_value=(spec, exp)), \
+            contextlib.redirect_stdout(io.StringIO()) as got:
+        code = cmd_verify(config, None)
+    assert (code, got.getvalue()) == (0, expected.getvalue())
+
+
 EDGE_TARGETS = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5, 2.0**-60, 0.3]
 
 
@@ -600,16 +654,32 @@ def test_tuple_rows_give_the_bytes_of_dict_rows(targets, level, fmt):
     assert got == expected
 
 
+# missing columns, None, bools, ints, floats and text that CSV must quote
+MIXED_ROWS = [
+    {"name": "H", "branch": None, "lueders_p": 0.25, "literal_p": 5e-324, "n_trials": 0,
+     "trajectory": json.dumps([[[1.0, -0.0], [0.0, 0.0]]])},
+    {"name": 'a "quoted", name', "branch": "*", "lueders_p": 1.0 - 2.0**-53,
+     "literal_p": 1.0, "n_trials": 10, "lueders_freq": 0.5, "lueders_z": math.inf,
+     "literal_freq": False, "literal_z": True},
+    {},
+]
+# cells that are equal but print differently: 0.0 and -0.0 in all-float columns,
+# and True, 1 and 1.0 in one column; no cell needs quoting
+SIGNED_ZERO_ROWS = [
+    {"name": "a", "branch": "x", "lueders_p": 0.0, "literal_p": -0.0, "n_trials": True,
+     "lueders_freq": True, "lueders_z": 1},
+    {"name": "b", "branch": "y", "lueders_p": -0.0, "literal_p": 0.0, "n_trials": 1,
+     "lueders_freq": False, "lueders_z": 1},
+    {"name": "a", "branch": "x", "lueders_p": 0.0, "literal_p": -0.0, "n_trials": 1.0,
+     "lueders_freq": True, "lueders_z": 2},
+]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_dict_rows_give_the_bytes_of_the_dict_writer(fmt):
-    # missing columns, None, bools, ints, floats and text that CSV must quote
-    rows = [
-        {"name": "H", "branch": None, "lueders_p": 0.25, "literal_p": 5e-324, "n_trials": 0,
-         "trajectory": json.dumps([[[1.0, -0.0], [0.0, 0.0]]])},
-        {"name": 'a "quoted", name', "branch": "*", "lueders_p": 1.0 - 2.0**-53,
-         "literal_p": 1.0, "n_trials": 10, "lueders_freq": 0.5, "lueders_z": math.inf,
-         "literal_freq": False, "literal_z": True},
-        {},
-    ]
+@pytest.mark.parametrize("rows", [MIXED_ROWS, SIGNED_ZERO_ROWS], ids=["mixed", "signed-zero"])
+def test_dict_rows_give_the_bytes_of_the_dict_writer(fmt, rows):
     got, expected = report_pair("history", HISTORY_COLUMNS, rows, rows, fmt)
     assert got == expected
+    if rows is SIGNED_ZERO_ROWS and fmt == "csv":
+        assert got.splitlines()[1:] == ["a,x,0,-0,true,true,1,,,", "b,y,-0,0,1,false,1,,,",
+                                        "a,x,0,-0,1,true,2,,,"]

@@ -22,9 +22,10 @@ from hmsim.dichotomic import (
     expand_geometric_t,
     qubit_from_angles,
 )
-from hmsim.dichotomic import _greedy_digits, _parity_digits
+from hmsim.dichotomic import _exact_checks, _greedy_digits, _parity_digits
 from hmsim.errors import DomainError, InvariantError
 from hmsim.hilbert import StateVector, born_probability, ketbra
+from hmsim.sampler import exact_check
 
 ALPHA = DichotomicOutcome.ALPHA
 NOT_ALPHA = DichotomicOutcome.NOT_ALPHA
@@ -257,8 +258,52 @@ def test_digits_match_the_level_loops_on_raw_numerators(data):
     num = data.draw(st.integers(0, 2**bits))
     shift = bits - depth
     greedy, parity = greedy_mask_loop(num, bits, depth), parity_mask_loop(num, bits, depth)
-    assert _greedy_digits(num, bits, depth) << shift == partial_sum_loop(greedy, bits, depth)
-    assert _parity_digits(num, bits, depth) << shift == partial_sum_loop(parity, bits, depth)
+    assert _greedy_digits(num, shift, depth) << shift == partial_sum_loop(greedy, bits, depth)
+    assert _parity_digits(num, shift, depth) << shift == partial_sum_loop(parity, bits, depth)
+
+
+# The scalar exact_check, on Python ints, is the oracle for the int64 column check.
+COLUMN_EDGES = [0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5, 0.75, 0.3,
+                math.nextafter(2.0**-60, 0.0), 2.0**-60, math.nextafter(2.0**-60, 1.0)]
+
+
+def scalar_checks(probs, level):
+    reports = [exact_check(p, level, rule) for p in probs
+               for rule in (DyadicRule.GREEDY, DyadicRule.GEOMETRIC)]
+    return [(r.partial_sum.hex(), r.abs_error.hex(), r.bound_satisfied) for r in reports]
+
+
+def column_checks(probs, level):
+    columns = _exact_checks(probs, level)
+    assert all(type(x) is t for col, t in zip(columns, (float, float, bool)) for x in col)
+    return [(a.hex(), b.hex(), c) for a, b, c in zip(*columns)]
+
+
+def test_column_checks_match_exact_check_at_every_level():
+    for level in range(1, 61):
+        assert column_checks(COLUMN_EDGES, level) == scalar_checks(COLUMN_EDGES, level), level
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(COLUMN_EDGES) | mask_values, max_size=8), st.integers(1, 60))
+def test_column_checks_match_exact_check(probs, level):
+    assert column_checks(probs, level) == scalar_checks(probs, level)
+
+
+def test_column_checks_refuse_the_first_target_outside_the_unit_interval():
+    assert _exact_checks([], 60) == ([], [], [])
+    for probs, message in [
+        ([0.5, math.nan, 2.0], "probability must be a real number in [0,1], got nan"),
+        ([0.5, 1.0 + 2.0**-52, math.nan], "probability=1.0000000000000002 outside [0,1]"),
+        ([-1e-300, math.inf], "probability=-1e-300 outside [0,1]"),
+        ([1.0, math.inf], "probability=inf outside [0,1]"),
+    ]:
+        with pytest.raises(DomainError) as err:
+            _exact_checks(probs, 60)
+        assert str(err.value) == message
+        with pytest.raises(DomainError) as err:  # as the scalar check refuses it
+            scalar_checks(probs, 60)
+        assert str(err.value) == message
 
 
 def test_discrete_context_weights_exact():

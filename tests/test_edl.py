@@ -28,7 +28,6 @@ from hmsim.edl import (
     Token,
     TokenKind,
     _COMPLEX_RE,
-    _TOKEN_RE,
     elaborate,
     parse,
     parse_bytes,
@@ -190,6 +189,28 @@ def test_elaborate_renormalizes_with_warning(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "warning: line 2 col 7: state 'd' renormalized (norm was 1.4142135623730951)\n"
+
+
+def complex_literal(z: complex) -> str:
+    sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"
+    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite, finite, st.lists(st.complex_numbers(max_magnitude=1e3), min_size=1, max_size=4)
+       .filter(lambda amps: max(map(abs, amps)) >= 1e-3))
+def test_elaborate_normalizes_explicit_and_bloch_states(theta, phi, amps):
+    # verify checks each state once and trusts it on every target after that;
+    # bloch states are built from their angles and never pass through normalized()
+    exp = elaborate(parse_text(
+        f"space Q dim 2;\nspace R dim {len(amps)};\n"
+        f"state b in Q = bloch({theta!r}, {phi!r});\n"
+        f"state s in R = [{', '.join(map(complex_literal, amps))}];\n"))
+    assert exp.states["b"].is_normalized()
+    assert exp.states["s"].is_normalized()
 
 
 @pytest.mark.parametrize("amplitudes, message", [
@@ -411,9 +432,15 @@ EDL_FRAGMENTS = sorted(KEYWORDS) + [
     ",", ":", " ", "  ", "\t", "\r", "\n", "\r\n", "# a comment", "#", "é", "€", "Ω", "٣",
     " ", "\x0b", "\x0c", "@", "$", "-", "+", ".", "!", "\x00",
 ]
-edl_like_text = st.lists(
-    st.sampled_from(EDL_FRAGMENTS) | st.text(alphabet="0123456789.eEi+-_ aZ\n#;", max_size=4),
-    max_size=40,
+edl_like_text = st.tuples(
+    st.lists(
+        st.sampled_from(EDL_FRAGMENTS) | st.text(alphabet="0123456789.eEi+-_ aZ\n#;", max_size=4),
+        max_size=40,
+    ).map("".join),
+    # blank and comment runs at the end of input, a comment at the end with no newline,
+    # and an illegal character after blanks, which must keep its column
+    st.sampled_from(["", " ", " \t\r ", "# tail", "  # tail", "\n  ", "\n# c\n  ", "  @",
+                     " \t$", "\n   \x00", "# c\n \t€"]),
 ).map("".join)
 
 
@@ -429,12 +456,26 @@ def test_tokenize_matches_the_per_character_lexer_on_the_corpus():
         assert _lex(tokenize, text) == _lex(tokenize_oracle, text), path.name
 
 
+# The token pattern from before blanks and comments were lexed inside each token's
+# match, frozen here: each blank or comment run was a match of its own.
+_ORACLE_TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pat})" for name, pat in (
+    ("COMPLEX", rf"(-?{_NUM})([+-])({_NUM})i(?![A-Za-z0-9_.])"),
+    ("FLOAT", r"-?(?:(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)(?![A-Za-z0-9_.])"),
+    ("INT", r"-?\d+(?![A-Za-z0-9_.])"),
+    ("word", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("PUNCT", r"[;=\[\](),:]"),
+    ("blank", r"[ \t\r]+|#[^\n]*"),
+    ("newline", r"\n"),
+    ("bad", "."),
+)), re.ASCII | re.DOTALL)
+
+
 def tokenize_named_tuple_oracle(source: str) -> list[Token]:
     """tokenize as it was before it built tokens with tuple.__new__ and a kind
     table: each token through Token(...), each kind through TokenKind[...]."""
     tokens: list[Token] = []
     line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(source):
+    for m in _ORACLE_TOKEN_RE.finditer(source):
         kind = m.lastgroup
         if kind == "blank":
             continue
