@@ -10,7 +10,8 @@ Subcommands:
 
 Each subcommand takes only the flags it reads; any other flag is refused:
 
-  verify       --L --convention --format --no-timestamp, and --p or a file
+  verify       --L --format --no-timestamp, and --p or a file; --convention
+               with a file only (a bare --p has no history to apply it to)
   sample       --seed --trials --lambda-max --format --no-timestamp
   sphere       --seed --trials --lambda-max --L --format --no-timestamp
   history      --seed --trials --lambda-max --format --no-timestamp
@@ -362,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[report, level],
                               help="exact dyadic recovery of target probabilities")
-    p_verify.add_argument("--convention", choices=["lueders", "literal"], default="lueders")
+    p_verify.add_argument("--convention", choices=["lueders", "literal"], default=None,
+                          help="history probability convention (default lueders)")
     # not a mutually exclusive group: there a refused flag's value (`--seed 1`)
     # would fill `input` and be reported as a conflict with --p
     p_verify.add_argument("input_path", metavar="input", nargs="?", default=None,
@@ -396,8 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_config(args: argparse.Namespace) -> RunConfig:
-    """RunConfig from the flags the subcommand took; the others keep their defaults."""
-    opts = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    """RunConfig from the flags the subcommand took and were given; the others keep
+    their defaults."""
+    opts = {f.name: value for f in fields(RunConfig)
+            if (value := getattr(args, f.name, None)) is not None}
     config = RunConfig(**opts)
     config.convention = Convention(config.convention)
     if not 0 <= config.seed < 2**64:
@@ -422,6 +426,10 @@ def main(argv=None) -> int:
             if (args.p is None) == (args.input_path is None):
                 print("verify: exactly one of input or --p is required"
                       " (--p is not allowed with argument input)", file=sys.stderr)
+                return 2
+            if args.p is not None and args.convention is not None:
+                print("verify: --convention is not allowed with --p; it applies to the"
+                      " histories of an input file", file=sys.stderr)
                 return 2
             return cmd_verify(config, args.p)
         if args.subcommand == "sample":

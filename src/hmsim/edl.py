@@ -21,6 +21,14 @@ A complex literal with both parts, like `0.5-0.5i`, is a single token.
 Angles are radians. Lexing is longest-match; keywords are reserved.
 `tokenize` returns `Token` named tuples `(kind, lexeme, line, column)`.
 
+Two parsers read this grammar. `parse_text` accepts input with the statement
+path, one regular-expression match per declaration. Any input that path does
+not accept (a failed match, a keyword where a name belongs, a duplicate name,
+an integer beyond the interpreter's digit limit) goes whole to the token path,
+`parse(tokenize(source))`, which explains every refusal with a `ParseError`.
+Where the statement path accepts, both give the same AST, down to positions
+and signed zeros.
+
 `span [i, ...]` is the coordinate projector onto the basis vectors with
 those indices: a 0/1 diagonal matrix.
 
@@ -96,7 +104,8 @@ _END = r"(?![A-Za-z0-9_.])"  # a number may not run into a word or a further dot
 _COMPLEX_RE = re.compile(rf"(-?{_NUM})([+-])({_NUM})i{_END}", re.ASCII)
 # Blanks and comments, then one alternation tried in order. `end` takes the blanks at the
 # end of input, which `bad` would otherwise catch; `bad` catches what the others refuse.
-_TOKEN_RE = re.compile(r"(?:[ \t\r]+|#[^\n]*)*(?:" + "|".join(f"(?P<{k}>{p})" for k, p in (
+# Compiled on first use, through re's cache: `parse_text` lexes only input it refuses.
+_TOKEN_PATTERN = r"(?:[ \t\r]+|#[^\n]*)*(?:" + "|".join(f"(?P<{k}>{p})" for k, p in (
     ("COMPLEX", _COMPLEX_RE.pattern),
     ("FLOAT", rf"-?(?:(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+){_END}"),
     ("INT", rf"-?\d+{_END}"),
@@ -105,7 +114,7 @@ _TOKEN_RE = re.compile(r"(?:[ \t\r]+|#[^\n]*)*(?:" + "|".join(f"(?P<{k}>{p})" fo
     ("newline", r"\n"),
     ("end", r"\Z"),
     ("bad", "."),
-)) + ")", re.ASCII | re.DOTALL)
+)) + ")"
 
 
 _KINDS = {kind.name: kind for kind in TokenKind}
@@ -116,7 +125,7 @@ def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     append, kinds, new = tokens.append, _KINDS, tuple.__new__  # no Python frame per token
     line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(source):
+    for m in re.finditer(_TOKEN_PATTERN, source, re.ASCII | re.DOTALL):
         kind = m.lastgroup
         if kind == "newline":
             line += 1
@@ -351,8 +360,112 @@ def parse(tokens: list[Token]) -> ExperimentSpec:
     return spec
 
 
+# The statement path: one match per declaration, on text whose comments are blanked
+# (`#` always starts one), so that a gap is the unambiguous `[ \t\r\n]*` and a failed
+# match backtracks in linear time. As in `tokenize`, a word may not run into another
+# (`spaceQ` is one word; `\w` is ASCII here) and a number not into a word or a dot.
+# Keywords in name slots are refused in Python, which keeps the pattern quick to
+# compile. Each body group is named after its statement keyword, so `lastgroup`
+# tells which keyword's body matched.
+_G = r"[ \t\r\n]*"
+_W = r"(?!\w)"
+_ID = rf"[^\W\d]\w*{_W}"
+_NUMBER = rf"-?{_NUM}{_END}"
+_INT = rf"-?\d+{_END}"
+
+
+def _items(group: str, item: str) -> str:
+    """`[` item {`,` item} `]`, the items' text captured in `group`: each item ends
+    at a `,` that no `]` follows, or before the `]`."""
+    return rf"\[(?P<{group}>(?:{_G}{item}{_G}(?:,(?!{_G}\])|(?=\])))+)\]"
+
+
+_AMPS = _items("amps", rf"-?{_NUM}(?:[+-]{_NUM}i)?{_END}")
+_SPAN = _items("span", _INT)
+_STEPS = _items("steps", rf"{_NUMBER}{_G}:{_G}{_ID}")
+_BRANCHES = _items("branches", _ID)
+_STATEMENT_RE = re.compile(
+    rf"(?P<kw>space|state|proj|history|orhistory){_W}{_G}(?P<name>{_ID}){_G}(?:"
+    rf"(?P<space>dim{_W}{_G}(?P<dim>{_INT}))"
+    rf"|(?P<state>in{_W}{_G}(?P<in>{_ID}){_G}={_G}(?:"
+    rf"bloch{_W}{_G}\((?P<bloch>{_G}{_NUMBER}{_G},{_G}{_NUMBER}){_G}\)|{_AMPS}))"
+    rf"|(?P<proj>on{_W}{_G}(?P<on>{_ID}){_G}={_G}(?:span{_W}{_G}{_SPAN}"
+    rf"|ketbra{_W}{_G}(?P<ketbra>{_ID})|not{_W}{_G}(?P<not>{_ID})))"
+    rf"|(?P<history>={_G}{_STEPS})"
+    rf"|(?P<orhistory>={_G}or{_W}{_G}{_BRANCHES})"
+    rf"){_G};{_G}",
+    re.ASCII,
+)
+_COMMENT_RE = re.compile(r"#[^\n]*")
+_STEP_RE = re.compile(rf"(-?{_NUM}){_G}:{_G}(\w+)", re.ASCII)
+_WORD_RE = re.compile(r"\w+", re.ASCII)
+
+
+def _parse_statements(source: str) -> ExperimentSpec | None:
+    """The AST of `source`, read one declaration per match, or None for any input that
+    `parse(tokenize(source))` must decide. On every input this accepts, that returns
+    the same AST: each number is read from its lexeme by `int`, `float` or `complex`,
+    which reads both parts of `a+bj` as `float` does, so every value keeps its bits."""
+    if "#" in source:  # blanks of equal length keep every column
+        source = _COMMENT_RE.sub(lambda c: " " * len(c[0]), source)
+    spec = ExperimentSpec()
+    match, keywords = _STATEMENT_RE.match, KEYWORDS
+    pos, end = len(source) - len(source.lstrip(" \t\r\n")), len(source)
+    # `line` is the line of offset `counted`, `line_start` the offset of the newline before it
+    line, line_start, counted = 1, -1, 0
+    while pos < end:
+        m = match(source, pos)
+        if m is None or m.lastgroup != (kw := m["kw"]):
+            return None
+        name, at = m["name"], m.start("name")
+        line += source.count("\n", counted, at)
+        line_start = max(line_start, source.rfind("\n", counted, at))
+        counted, pos, name_pos = at, m.end(), (line, at - line_start)
+        int_text = m["dim"] or m["span"]
+        try:
+            ints = () if int_text is None else tuple(map(int, int_text.split(",")))
+        except ValueError:  # beyond the interpreter's digit limit
+            return None
+        if kw == "space":
+            refs: list[str] = []
+            decl = SpaceDecl(name, ints[0], name_pos)
+        elif kw == "state":
+            refs = [m["in"]]
+            if m["bloch"] is not None:
+                body: tuple[complex, ...] | BlochForm = BlochForm(
+                    *map(float, m["bloch"].split(",")))
+            else:
+                body = tuple(map(complex, m["amps"].replace("i", "j").split(",")))
+            decl = StateDecl(name, refs[0], body, name_pos)
+        elif kw == "proj":
+            refs = [m["on"], *filter(None, (m["ketbra"], m["not"]))]
+            if m["span"] is not None:
+                proj_body: SpanForm | KetbraForm | NotForm = SpanForm(ints)
+            elif m["ketbra"] is not None:
+                proj_body = KetbraForm(m["ketbra"])
+            else:
+                proj_body = NotForm(m["not"])
+            decl = ProjDecl(name, refs[0], proj_body, name_pos)
+        elif kw == "history":
+            steps = _STEP_RE.findall(m["steps"])
+            refs = [ref for _, ref in steps]
+            decl = HistoryDecl(name, tuple((float(t), ref) for t, ref in steps), name_pos)
+        else:
+            refs = _WORD_RE.findall(m["branches"])
+            decl = OrHistoryDecl(name, tuple(refs), name_pos)
+        fields = _STATEMENTS[kw][0]
+        if (name in keywords or not keywords.isdisjoint(refs)
+                or any(name in getattr(spec, f) for f in fields)):
+            return None
+        getattr(spec, fields[0])[name] = decl
+    return spec
+
+
 def parse_text(source: str) -> ExperimentSpec:
-    return parse(tokenize(source))
+    """Parse EDL source. The statement path reads input the grammar accepts; on any
+    other input the token path, `parse(tokenize(source))`, raises the ParseError."""
+    spec = _parse_statements(source)
+    return parse(tokenize(source)) if spec is None else spec
 
 
 def parse_bytes(data: bytes) -> ExperimentSpec:

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmsim
+from conftest import random_experiment_source
 from hmsim.edl import (
     KEYWORDS,
     BlochForm,
@@ -28,6 +30,7 @@ from hmsim.edl import (
     Token,
     TokenKind,
     _COMPLEX_RE,
+    _parse_statements,
     elaborate,
     parse,
     parse_bytes,
@@ -517,10 +520,10 @@ def test_fuzz_bytes_never_crash(data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.text(max_size=64))
+@given(st.text(max_size=64) | edl_like_text)
 def test_fuzz_text_never_crash(text):
     try:
-        spec = parse(tokenize(text))
+        spec = parse_text(text)
     except ParseError:
         return
     assert isinstance(spec, ExperimentSpec)
@@ -822,3 +825,99 @@ def test_parser_matches_the_oracle_on_mutated_token_streams(tokens, edits):
             else:
                 tokens[at] = tok
     _assert_parsers_agree(tokens)
+
+
+# The statement path of parse_text against the token path, parse(tokenize(.)), kept as
+# the oracle: the same AST, positions and signed zeros included, or the same ParseError.
+def _text_outcome(parser, text):
+    try:
+        spec = parser(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.message, exc.line, exc.column, exc.expected)
+    return ("ast", spec, repr(spec))
+
+
+def _assert_paths_agree(text):
+    assert _text_outcome(parse_text, text) == _text_outcome(lambda s: parse(tokenize(s)), text)
+
+
+def _assert_statement_path_accepts(text):
+    spec, expected = _parse_statements(text), parse(tokenize(text))
+    assert spec is not None, text
+    assert (spec, repr(spec)) == (expected, repr(expected))
+
+
+CORPUS_TEXTS = [path.read_text() for path in sorted(CORPUS.glob("*.edl"))]
+VALID_TOKENS = [tokenize(path.read_text()) for path in sorted(CORPUS.glob("valid_*.edl"))]
+GAPS = [" ", "\t", "\r", "\n", "\r\n", "  # note\n", "#\n", "\n\n \t ", "#" * 40 + "\n",
+        "# é €\n"]
+
+
+def respaced(tokens, gaps):
+    """The lexemes of `tokens` with gaps[0] before them and gaps[i + 1] after the i-th."""
+    return gaps[0] + "".join(tok.lexeme + gap for tok, gap in zip(tokens, gaps[1:]))
+
+
+respaced_corpus = st.sampled_from(VALID_TOKENS).flatmap(lambda tokens: st.lists(
+    st.sampled_from(GAPS), min_size=len(tokens) + 1, max_size=len(tokens) + 1,
+).map(lambda gaps: respaced(tokens, gaps)))
+
+
+@pytest.mark.parametrize("text", [
+    "", " \n\t\r", "# only a comment", "space Q dim 2;", "  space Q dim 2; # end",
+    "spaceQ dim 2;", "space Qdim 2;", "space Q dim2;", "space Q dim 2", "space Q dim 2;;",
+    "space Q dim 2.0;", "space Q dim -3;", "space Q dim 1e2;", "space dim dim 2;",
+    "space Q dim " + "9" * 5000 + ";", "space Q dim 2; @", "space Q\x0bdim 2;",
+    "space Q dim 2; # é", "state s in Q = [1+2i, -0-0i, -0, .5, 1., 1e999];",
+    "state s in Q = [1 +2i];", "state s in Q = [2i];", "state s in Q = [1e+5i];",
+    "state s in Q = [1.2.3];", "state s in Q = [1,];", "state s in Q = [];",
+    "state s in Q = bloch(-0, 1e-3);", "state s in Q = bloch (1, 2) ;",
+    "state s in Q = bloch(1+2i, 0);", "state s in Q = [1, 0] ; state s in Q = [0, 1];",
+    "proj P on Q = span [0,1 , 2];", "proj P on Q = span [1.0];", "proj P on Q = span[0]",
+    "proj P on Q = ketbra s;", "proj P on Q = not in;", "proj P on Q = notP;",
+    "history H = [0:P,1.5e0 : Q];", "history H = [0: P 1: Q];", "history H = [0: or];",
+    "history H = or [A];", "orhistory O = [0: P];", "orhistory O = or[A,B_1 , _c];",
+    "history H = [0: P];\norhistory H = or [H];", "orhistory O = or [A, space];",
+    "space Q dim 2;\r\n  state s in Q =\n[1,\n 0];\n\n  proj P on Q = span [0];",
+])
+def test_parse_text_matches_the_token_path_on_edge_cases(text):
+    _assert_paths_agree(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(edl_like_text | respaced_corpus | st.lists(
+    st.tuples(st.sampled_from(WHOLE_STATEMENTS + STATEMENT_FRAGMENTS), st.sampled_from(GAPS)),
+    max_size=30,
+).map(lambda parts: "".join(map("".join, parts))))
+def test_parse_text_matches_the_token_path(text):
+    _assert_paths_agree(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(CORPUS_TEXTS),
+       st.lists(st.tuples(st.sampled_from(["delete", "insert", "replace"]),
+                          st.integers(min_value=0), st.integers(0, 8),
+                          st.sampled_from(EDL_FRAGMENTS + STATEMENT_FRAGMENTS)),
+                min_size=1, max_size=4))
+def test_parse_text_matches_the_token_path_on_mutated_corpus_text(text, edits):
+    for op, at, width, fragment in edits:
+        at %= len(text) + 1
+        cut = 0 if op == "insert" else width
+        text = text[:at] + ("" if op == "delete" else fragment) + text[at + cut:]
+    _assert_paths_agree(text)
+
+
+def test_statement_path_accepts_every_valid_corpus_file():
+    texts = [path.read_text() for path in sorted(CORPUS.glob("valid_*.edl"))]
+    assert len(texts) == 12
+    for text in texts + [pretty_print(parse_text(t)) for t in texts]:
+        _assert_statement_path_accepts(text)
+    for disjoint in (True, False):
+        _assert_statement_path_accepts(wide_orhistory_source(disjoint))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1).map(random.Random).map(random_experiment_source)
+       | respaced_corpus)
+def test_statement_path_accepts_every_generated_source(source):
+    _assert_statement_path_accepts(source)
