@@ -21,7 +21,10 @@ Reports go to stdout as CSV (default) or JSON carrying identical values;
 diagnostics go to stderr. Exit codes: 0 success, 1 a quantitative check
 failed, 2 usage, domain, parse or elaboration error. With a fixed seed the
 output is byte-identical across runs once the timestamp line is disabled
-with --no-timestamp.
+with --no-timestamp. A `hmsim` or `python -m hmsim.cli` process runs main()
+through run(), with the cyclic collector off and every live object frozen
+before exit, so that no collection walks them (31 -> 8.5 ms of CPU at exit on
+seed-0 verify-edl). Calling main() in process leaves the collector as it is.
 
 History JSON schema used in reports and parse-check output:
   {"name": str, "times": [float, ...], "projectors": [str, ...]}
@@ -32,13 +35,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 # One OpenBLAS thread unless the user chose a count; this must run before numpy
 # loads. No product here is larger than 64x64, where a second thread saves at
@@ -108,10 +112,10 @@ class RunConfig:
     timestamp: bool = True
 
 
-def _csv_column(col: tuple) -> list[str]:
-    """The CSV cells of one column, each distinct cell formatted once. Equal values
-    can print differently (0.0 and -0.0; 1, 1.0 and True), so floats are keyed by
-    their bits, a column of one other type by value, and mixed types not at all."""
+def _csv_column(col) -> tuple[list[str], bool]:
+    """The CSV cells of one column, each distinct cell formatted once, and whether one
+    holds a delimiter, quote or line end. Equal values can print differently (0.0, -0.0;
+    1, 1.0, True): floats are keyed by bits, one other type by value, mixed not at all."""
     types = set(map(type, col))
     if types == {float}:
         keys = np.array(col).view(np.int64).tolist()
@@ -120,32 +124,33 @@ def _csv_column(col: tuple) -> list[str]:
     cell = {k: "" if v is None else f"{v:.17g}" if isinstance(v, float)
             else ("true" if v else "false") if isinstance(v, bool) else str(v)
             for k, v in dict(zip(keys, col)).items()}
-    return list(map(cell.__getitem__, keys))
+    distinct = "".join(cell.values())
+    return list(map(cell.__getitem__, keys)), any(c in distinct for c in ',"\r\n')
 
 
-def emit_report(command: str, columns: list[str], rows: Iterable[tuple | dict],
-                config: RunConfig, out=None) -> None:
-    """Write the report. A row is a tuple in `columns` order, or a dict read by
-    column name, where a missing column is None. In CSV, None is an empty cell,
-    a bool is true/false and a float has 17 significant digits."""
+def emit_report(command: str, columns: list[str], rows: list, config: RunConfig, out=None,
+                *, by_column: bool = False) -> None:
+    """Write the report from dict rows, read by column name (a missing column is None),
+    or with `by_column` from one sequence per column, in `columns` order. In CSV, None
+    is an empty cell, a bool is true/false and a float has 17 significant digits."""
     out = out or sys.stdout
-    rows = [row if isinstance(row, tuple) else tuple(map(row.get, columns)) for row in rows]
+    cols = rows if by_column else [[row.get(c) for row in rows] for c in columns]
     if config.format == "csv":
         if config.timestamp:
             out.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
-        cells = list(zip(*map(_csv_column, zip(*rows))))
+        cells, quoted = zip(*map(_csv_column, cols))
         # a cell holding a delimiter, quote or line end goes to csv, which quotes it
-        if any(c in "".join(set().union(*cells)) for c in ',"\r\n'):
-            writer.writerows(cells)
+        if any(quoted):
+            writer.writerows(zip(*cells))
         else:
-            out.writelines(line + "\n" for line in map(",".join, cells))
+            out.writelines(line + "\n" for line in map(",".join, zip(*cells)))
     else:
         doc: dict = {"command": command}
         if config.timestamp:
             doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-        doc["rows"] = [dict(zip(columns, row)) for row in rows]
+        doc["rows"] = [dict(zip(columns, row)) for row in zip(*cols)]
         json.dump(doc, out, indent=2)
         out.write("\n")
 
@@ -210,11 +215,11 @@ def cmd_verify(config: RunConfig, target_p: float | None) -> int:
     partial_sums, abs_errors, oks = _exact_checks([p for _, p in targets], config.level)
     n = len(oks)
     # in VERIFY_COLUMNS order: a greedy, then a geometric row per target
-    rows = zip([label for label, _ in targets for _ in range(2)],
-               [DyadicRule.GREEDY.value, DyadicRule.GEOMETRIC.value] * len(targets),
-               [p for _, p in targets for _ in range(2)], [config.level] * n,
-               partial_sums, abs_errors, oks, [2.0 ** -config.level] * n)
-    emit_report("verify", VERIFY_COLUMNS, rows, config)
+    cols = [[label for label, _ in targets for _ in range(2)],
+            [DyadicRule.GREEDY.value, DyadicRule.GEOMETRIC.value] * len(targets),
+            [p for _, p in targets for _ in range(2)], [config.level] * n,
+            partial_sums, abs_errors, oks, [2.0 ** -config.level] * n]
+    emit_report("verify", VERIFY_COLUMNS, cols, config, by_column=True)
     return 0 if all(oks) else 1
 
 
@@ -450,5 +455,14 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry: main() with the cyclic collector off, then every live object
+    frozen, so that the interpreter's collections at exit skip them."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -40,18 +40,17 @@ requested by a single name.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, TypeVar
 
-import numpy as np
-
 from .dichotomic import qubit_from_angles
-from .errors import DisjointnessError, HmsimError, NormalizationError
+from .errors import DisjointnessError, HmsimError, NormalizationError, SupportError
 from .hilbert import Projector, StateVector, complement_projector, ketbra
-from .histories import HomogeneousHistory, InhomogeneousHistory
+from .histories import HomogeneousHistory, InhomogeneousHistory, TemporalSupport
 
 MAX_SPACE_DIM = 64
 RENORMALIZATION_WARN_TOL = 1e-9
@@ -540,7 +539,8 @@ class Experiment:
 
 
 def _require_finite(values, what: str, pos: Pos) -> None:
-    if not np.isfinite(np.asarray(values, dtype=complex)).all():
+    # not cmath.isfinite: importing cmath maps one more extension module (56 kB of RSS)
+    if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in values):
         raise ElaborationError(f"non-finite value in {what}", *pos)
 
 
@@ -631,12 +631,14 @@ def elaborate(spec: ExperimentSpec) -> Experiment:
     for h in spec.histories.values():
         times = [t for t, _ in h.steps]
         _require_finite(times, f"history {h.name!r} times", h.pos)
-        if any(not (a < b) for a, b in zip(times, times[1:])):
+        try:  # before the slot names, so that a time is reported before a name
+            support = TemporalSupport(tuple(times))
+        except SupportError:
             raise ElaborationError(
                 f"history {h.name!r} has non-increasing times {times}", *h.pos
-            )
+            ) from None
         slot_projs = [_resolve(projectors, ref, "projector", h.pos) for _, ref in h.steps]
-        histories[h.name] = HomogeneousHistory.at_times(times, slot_projs)
+        histories[h.name] = HomogeneousHistory(support, tuple(slot_projs))
 
     orhistories: dict[str, InhomogeneousHistory] = {}
     for oh in spec.orhistories.values():

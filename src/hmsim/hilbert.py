@@ -113,11 +113,12 @@ class Projector:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def _trusted(cls, matrix) -> "Projector":
-        """A projector built inside this module from a matrix that is one by
-        construction; skips the O(d^3) Hermiticity and idempotency checks."""
+    def _trusted(cls, matrix: np.ndarray) -> "Projector":
+        """A projector on a fresh nonempty complex128 matrix that this module built to be
+        one: keeps it, frozen, without the O(d^3) Hermiticity and idempotency checks."""
+        matrix.setflags(write=False)
         p = object.__new__(cls)
-        object.__setattr__(p, "matrix", _frozen_complex_matrix(matrix, "projector"))
+        object.__setattr__(p, "matrix", matrix)
         return p
 
     @classmethod
@@ -127,6 +128,8 @@ class Projector:
     @classmethod
     def coordinate(cls, dim: int, indices: Iterable[int]) -> "Projector":
         """0/1 diagonal projector onto the span of the basis vectors `indices`."""
+        if dim < 1:
+            raise DimensionError(f"projector dim must be at least 1, got {dim}")
         m = np.zeros((dim, dim), dtype=np.complex128)
         idx = list(indices)
         m[idx, idx] = 1.0
@@ -211,8 +214,8 @@ def born_probability(p: StateVector, proj: Projector) -> float:
 
 def _born(amps: np.ndarray, proj: Projector) -> float:
     """born_probability of a normalized state's amplitudes, of the projector's dim."""
-    w = proj.matrix @ amps
-    val = float(np.real(np.vdot(w, w)))
+    w = proj.matrix.dot(amps)
+    val = float(np.vdot(w, w).real)
     if val < -NORMALIZATION_TOL or val > 1.0 + NORMALIZATION_TOL:
         raise InvariantError(f"probability {val!r} outside [0,1] beyond tolerance")
     return min(max(val, 0.0), 1.0)

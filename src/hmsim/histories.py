@@ -217,12 +217,12 @@ def _lueders_chain(amps: np.ndarray, projectors):
     None and the walk stops.
     """
     for proj in projectors:
-        w = proj.matrix @ amps
-        s = float(np.real(np.vdot(w, w)))
+        amps = proj.matrix.dot(amps)
+        s = float(np.vdot(amps, amps).real)
         if s < ZERO_SURVIVAL_TOL:
             yield s, None
             return
-        amps = w / math.sqrt(s)
+        amps /= math.sqrt(s)  # a fresh array: the caller's amplitudes are never written
         yield s, amps
 
 
@@ -265,8 +265,8 @@ def _chain_probability(amps: np.ndarray, projectors, convention: Convention) -> 
     if convention is Convention.LITERAL:
         prob = 1.0
         for proj in projectors:
-            amps = proj.matrix @ amps
-            prob *= float(np.real(np.vdot(amps, amps)))
+            amps = proj.matrix.dot(amps)
+            prob *= float(np.vdot(amps, amps).real)
             if prob < ZERO_SURVIVAL_TOL:
                 return 0.0
         return min(prob, 1.0)

@@ -551,7 +551,7 @@ def test_verify_targets_refuse_an_unnormalized_state():
 
 
 # The report writer as it was when every row was a dict, kept as the oracle for
-# emit_report on tuple rows (verify) and on dict rows (sample, sphere, history).
+# emit_report on columns (verify) and on dict rows (sample, sphere, history).
 def _csv_cell_oracle(v) -> str:
     if v is None:
         return ""
@@ -574,10 +574,10 @@ def emit_report_oracle(command, columns, rows, config, out):
         out.write("\n")
 
 
-def report_pair(command, columns, rows, oracle_rows, fmt):
+def report_pair(command, columns, rows, oracle_rows, fmt, by_column=False):
     config = RunConfig(command, format=fmt, timestamp=False)
     got, expected = io.StringIO(), io.StringIO()
-    emit_report(command, columns, rows, config, out=got)
+    emit_report(command, columns, rows, config, out=got, by_column=by_column)
     emit_report_oracle(command, columns, oracle_rows, config, out=expected)
     return got.getvalue(), expected.getvalue()
 
@@ -607,19 +607,23 @@ EDGE_TARGETS = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5, 2.0**-60, 0.3]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from(EDGE_TARGETS) | st.floats(0.0, 1.0), max_size=6),
+@given(st.lists(st.tuples(st.sampled_from(EDGE_TARGETS) | st.floats(0.0, 1.0),
+                          st.sampled_from(["", "", ",", '"', "\n"])), max_size=6),
        st.integers(1, 60), st.sampled_from(["csv", "json"]))
-def test_tuple_rows_give_the_bytes_of_dict_rows(targets, level, fmt):
+def test_columns_give_the_bytes_of_dict_rows(targets, level, fmt):
+    # each label is a distinct cell written twice; some hold a comma, quote or line end
     rows, dict_rows = [], []
-    for k, prob in enumerate(targets):
+    for k, (prob, mark) in enumerate(targets):
         for rule in (DyadicRule.GREEDY, DyadicRule.GEOMETRIC):
             rep = exact_check(prob, level, rule)
-            label = f"s{k}|p{k}"
+            label = f"s{k}{mark}|p{k}"
             rows.append((label, rule.value, prob, level, rep.partial_sum, rep.abs_error,
                          rep.bound_satisfied, rep.tail_mass))
             dict_rows.append({"target": label, "rule": rule.value, "P": prob, "L": level,
                               **rep.to_record()})
-    got, expected = report_pair("verify", VERIFY_COLUMNS, rows, dict_rows, fmt)
+    columns = [list(col) for col in zip(*rows)] or [[] for _ in VERIFY_COLUMNS]
+    got, expected = report_pair("verify", VERIFY_COLUMNS, columns, dict_rows, fmt,
+                                by_column=True)
     assert got == expected
 
 
@@ -648,6 +652,9 @@ SIGNED_ZERO_ROWS = [
 @pytest.mark.parametrize("rows", [MIXED_ROWS, SIGNED_ZERO_ROWS], ids=["mixed", "signed-zero"])
 def test_dict_rows_give_the_bytes_of_the_dict_writer(fmt, rows):
     got, expected = report_pair("history", HISTORY_COLUMNS, rows, rows, fmt)
+    assert got == expected
+    columns = [[row.get(c) for row in rows] for c in HISTORY_COLUMNS]
+    got, _ = report_pair("history", HISTORY_COLUMNS, columns, rows, fmt, by_column=True)
     assert got == expected
     if rows is SIGNED_ZERO_ROWS and fmt == "csv":
         assert got.splitlines()[1:] == ["a,x,0,-0,true,true,1,,,", "b,y,-0,0,1,false,1,,,",

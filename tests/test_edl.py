@@ -355,6 +355,30 @@ def test_non_finite_literals_rejected_at_elaboration():
         ))
 
 
+# A history's times are checked before its slot names are resolved; texts and
+# positions as they were when elaborate compared the times itself.
+HISTORY_TIME_ERRORS = [
+    ("history H = [1: P0, 0: R];", "history 'H' has non-increasing times [1.0, 0.0]"),
+    ("history H = [0: P0, 0: P0];", "history 'H' has non-increasing times [0.0, 0.0]"),
+    ("history H = [-0.0: R, 0: P0];", "history 'H' has non-increasing times [-0.0, 0.0]"),
+    ("history H = [0: P0, 1e999: R];", "non-finite value in history 'H' times"),
+    ("history H = [0: P0, 1: R];", "unresolved projector name 'R'"),
+]
+
+
+@pytest.mark.parametrize("history, message", HISTORY_TIME_ERRORS)
+def test_history_times_are_checked_before_slot_names(history, message):
+    with pytest.raises(ElaborationError) as err:
+        elaborate(parse_text(f"space Q dim 2;\nproj P0 on Q = span [0];\n  {history}\n"))
+    assert str(err.value) == f"line 3 col 11: {message}"
+
+
+def test_non_finite_imaginary_parts_are_refused():
+    for amps in ("0+1e999i, 1", "1, 0-1e999i"):
+        with pytest.raises(ElaborationError, match="non-finite value in state 's'"):
+            elaborate(parse_text(f"space Q dim 2;\nstate s in Q = [{amps}];\n"))
+
+
 def test_elaboration_is_deterministic():
     src = (CORPUS / "valid_12.edl").read_text()
     a = elaborate(parse_text(src))

@@ -15,9 +15,11 @@ from hmsim.errors import (
     NormalizationError,
 )
 from hmsim.hilbert import (
+    NORMALIZATION_TOL,
     Projector,
     StateVector,
     UnitaryMap,
+    _born,
     born_probability,
     complement_projector,
     conjugate,
@@ -237,3 +239,41 @@ def test_trusted_projectors_match_the_validating_constructor(dim, seed):
         assert trusted.matrix.tobytes() == Projector(matrix).matrix.tobytes()
         assert Projector(trusted.matrix).matrix.tobytes() == trusted.matrix.tobytes()
         assert not trusted.matrix.flags.writeable
+
+
+def test_coordinate_refuses_an_empty_space():
+    with pytest.raises(DimensionError):
+        Projector.coordinate(0, [])
+
+
+def born_oracle(amps, proj):
+    """_born as written with `@` and float(np.real(np.vdot(...))), before it called
+    ndarray.dot and float(np.vdot(...).real)."""
+    w = proj.matrix @ amps
+    val = float(np.real(np.vdot(w, w)))
+    if val < -NORMALIZATION_TOL or val > 1.0 + NORMALIZATION_TOL:
+        raise AssertionError(val)
+    return min(max(val, 0.0), 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 64), st.sampled_from(["coordinate", "ketbra", "not"]),
+       st.integers(0, 2**32 - 1), st.none() | st.floats(0.5e-12, 2e-12))
+def test_born_gives_the_bits_of_the_matmul_oracle(dim, kind, seed, small):
+    # `small` puts an amplitude of about sqrt(ZERO_SURVIVAL_TOL) on the only
+    # basis vector that a coordinate projector keeps
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, dim)
+    if small is not None and dim > 1:
+        amps = np.zeros(dim, dtype=np.complex128)
+        amps[0], amps[1] = math.sqrt(1.0 - small * small), small * 1j
+        state = StateVector(amps)
+    if kind == "coordinate":
+        keep = [1] if small is not None else np.flatnonzero(rng.random(dim) < 0.5)
+        proj = Projector.coordinate(dim, keep if dim > 1 else [0])
+    else:
+        proj = ketbra(random_state(rng, dim))
+        proj = proj if kind == "ketbra" else complement_projector(proj)
+    got = _born(state.amplitudes, proj)
+    assert type(got) is float
+    assert got.hex() == born_oracle(state.amplitudes, proj).hex()

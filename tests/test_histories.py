@@ -545,11 +545,11 @@ SQRT_ZERO_SURVIVAL = math.sqrt(ZERO_SURVIVAL_TOL)
 
 
 @st.composite
-def straddling_chain_cases(draw):
+def straddling_chain_cases(draw, max_dim=6):
     """A chain whose slot k keeps an amplitude a near sqrt(ZERO_SURVIVAL_TOL), so
     its survival a*a lies just below, at or just above the tolerance. Slots
     before k are identities; the later ones are random."""
-    dim = draw(st.integers(2, 6))
+    dim = draw(st.integers(2, max_dim))
     slots = draw(st.integers(1, 5))
     k = draw(st.integers(0, slots - 1))
     a = draw(st.sampled_from([math.nextafter(SQRT_ZERO_SURVIVAL, 0.0), SQRT_ZERO_SURVIVAL,
@@ -641,3 +641,61 @@ def test_unitary_covariance_same_rotation_each_slot(rng):
         assert history_probability(rotated_p, rotated_hist, Convention.LUEDERS) == pytest.approx(
             history_probability(p, hist, Convention.LUEDERS), abs=1e-10
         )
+
+
+# The chain loops and the LITERAL loop as written with `@` and
+# float(np.real(np.vdot(...))), before they called ndarray.dot and
+# float(np.vdot(...).real); the oracle for the bits of the new calls, together
+# with the StateVector-per-step loops above.
+def literal_loop_oracle(amps, projectors):
+    prob = 1.0
+    for proj in projectors:
+        amps = proj.matrix @ amps
+        prob *= float(np.real(np.vdot(amps, amps)))
+        if prob < ZERO_SURVIVAL_TOL:
+            return 0.0
+    return min(prob, 1.0)
+
+
+@st.composite
+def wide_chain_cases(draw):
+    """A state and 1..6 coordinate, ketbra and `not` slots on a dim in 1..64."""
+    dim = draw(st.integers(1, 64))
+    slots = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def slot():
+        kind = draw(st.sampled_from(["coordinate", "ketbra", "not"]))
+        if kind == "coordinate":
+            return Projector.coordinate(dim, np.flatnonzero(rng.random(dim) < 0.8))
+        proj = ketbra(random_state(rng, dim))
+        return proj if kind == "ketbra" else complement_projector(proj)
+
+    projs = [slot() for _ in range(slots)]
+    return "wide", random_state(rng, dim), HomogeneousHistory.at_times(range(slots), projs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_chain_cases() | straddling_chain_cases(max_dim=64))
+def test_chain_calls_give_the_bits_of_the_matmul_loops(case):
+    _, p, hist = case
+    for conv, oracle in ((Convention.LUEDERS, chain_oracle_probability),
+                         (Convention.LITERAL, lambda p, a: literal_loop_oracle(
+                             p.amplitudes, a.projectors))):
+        prob = history_probability(p, hist, conv)
+        # an np.float64 would take _csv_column's mixed-type path and repr differently
+        assert type(prob) is float
+        assert prob.hex() == oracle(p, hist).hex()
+    chain, survival, annihilated = chain_oracle_pseudo_project(p, hist)
+    pp = pseudo_project(p, hist)
+    assert all(type(s) is float for s in pp.survival)
+    assert [s.hex() for s in pp.survival] == [s.hex() for s in survival]
+    assert amplitude_bytes(pp.chain) == amplitude_bytes(chain)
+    assert pp.annihilated == annihilated
+    try:
+        expected = amplitude_bytes(chain_oracle_trajectory(p, hist))
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            trajectory(p, hist, HistoryOutcome.A)
+    else:
+        assert amplitude_bytes(trajectory(p, hist, HistoryOutcome.A)) == expected

@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import os
 import pkgutil
 import subprocess
@@ -145,3 +148,60 @@ def test_verify_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     default = run_child(argv)
     assert default.count("\n") == 1 + 3 * 2 * (4 + 3 + 1)  # header; states x rules x targets
     assert run_child(argv, OPENBLAS_NUM_THREADS="2") == default
+
+
+# exit 0, a committed rare-event case that exits 1, and a usage error that exits 2
+ENTRY_CASES = [
+    (["verify", "--p", "0.5", "--no-timestamp"], 0),
+    (["sample", "--model", "greedy", "--p", "0.0001", "--trials", "100", "--seed", "306",
+      "--no-timestamp"], 1),
+    (["verify", "--p", "2"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", ENTRY_CASES)
+def test_process_entry_prints_what_main_prints(argv, code):
+    from hmsim.cli import main
+
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = SRC
+    child = subprocess.run([sys.executable, "-m", "hmsim.cli", *argv], env=env,
+                           capture_output=True, timeout=120)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == code
+    assert (child.returncode, child.stdout, child.stderr) == (
+        code, out.getvalue().encode(), err.getvalue().encode())
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(enabled):
+    from hmsim.cli import main
+
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "--p", "0.5"]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_process_entry_runs_without_the_collector_and_freezes_before_exit():
+    child = (
+        "import gc, sys\n"
+        "from hmsim import cli\n"
+        "sys.argv = ['hmsim', 'verify', '--p', '0.5']\n"
+        "code = cli.run()\n"
+        "sys.stderr.write(f'{code} {gc.isenabled()} {gc.get_freeze_count() > 0}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    err = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stderr
+    assert err.split() == ["0", "False", "True"]
+
+
+def test_console_script_is_the_process_entry():
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]")[1]
+    assert scripts.split("[")[0].split() == ["hmsim", "=", '"hmsim.cli:run"']
