@@ -21,13 +21,12 @@ A complex literal with both parts, like `0.5-0.5i`, is a single token.
 Angles are radians. Lexing is longest-match; keywords are reserved.
 `tokenize` returns `Token` named tuples `(kind, lexeme, line, column)`.
 
-Two parsers read this grammar. `parse_text` accepts input with the statement
-path, one regular-expression match per declaration. Any input that path does
-not accept (a failed match, a keyword where a name belongs, a duplicate name,
-an integer beyond the interpreter's digit limit) goes whole to the token path,
-`parse(tokenize(source))`, which explains every refusal with a `ParseError`.
-Where the statement path accepts, both give the same AST, down to positions
-and signed zeros.
+One table, `_STATEMENTS`, holds this grammar, with the terminals quoted above
+but the complex literal's. The lexer's keywords and punctuation, both parsers
+and the printer come from it. `parse_text` reads each declaration with one
+match of a pattern generated from the table. Any input it refuses goes whole
+to `parse(tokenize(source))`, which walks the table over the tokens and writes
+every `ParseError`. Both give the same AST, down to positions and signed zeros.
 
 `span [i, ...]` is the coordinate projector onto the basis vectors with
 those indices: a 0/1 diagonal matrix.
@@ -43,8 +42,10 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 from typing import Callable, NamedTuple, TypeVar
 
 from .dichotomic import qubit_from_angles
@@ -54,11 +55,6 @@ from .histories import HomogeneousHistory, InhomogeneousHistory, TemporalSupport
 
 MAX_SPACE_DIM = 64
 RENORMALIZATION_WARN_TOL = 1e-9
-
-KEYWORDS = frozenset(
-    ["space", "dim", "state", "in", "bloch", "proj", "on", "span", "ketbra", "not",
-     "history", "orhistory", "or"]
-)
 
 class TokenKind(Enum):
     KEYWORD = "KEYWORD"
@@ -101,21 +97,6 @@ class ElaborationError(HmsimError):
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _END = r"(?![A-Za-z0-9_.])"  # a number may not run into a word or a further dot
 _COMPLEX_RE = re.compile(rf"(-?{_NUM})([+-])({_NUM})i{_END}", re.ASCII)
-# Blanks and comments, then one alternation tried in order. `end` takes the blanks at the
-# end of input, which `bad` would otherwise catch; `bad` catches what the others refuse.
-# Compiled on first use, through re's cache: `parse_text` lexes only input it refuses.
-_TOKEN_PATTERN = r"(?:[ \t\r]+|#[^\n]*)*(?:" + "|".join(f"(?P<{k}>{p})" for k, p in (
-    ("COMPLEX", _COMPLEX_RE.pattern),
-    ("FLOAT", rf"-?(?:(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+){_END}"),
-    ("INT", rf"-?\d+{_END}"),
-    ("word", r"[A-Za-z_][A-Za-z0-9_]*"),
-    ("PUNCT", r"[;=\[\](),:]"),
-    ("newline", r"\n"),
-    ("end", r"\Z"),
-    ("bad", "."),
-)) + ")"
-
-
 _KINDS = {kind.name: kind for kind in TokenKind}
 
 
@@ -217,246 +198,262 @@ class ExperimentSpec:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Grammar
+#
+# A statement is its keyword, a new name, then steps. A step is a literal (a keyword if
+# it is a word), a value kind, a Python list of steps for `[` item {`,` item} `]`, or a
+# dict of alternatives keyed by their leading keyword, None for the one taken otherwise.
+# An alternative is its constructor (None passes its one value on) and its steps.
+
+_OPEN, _SEP, _CLOSE = "[", ",", "]"
+_W = r"(?!\w)"  # a word may not run into another (`\w` is ASCII here)
 
 
-# statement keyword -> (ExperimentSpec fields its name must be new in, word for a duplicate)
+# A value kind: the label a diagnostic expects, the token kinds that give it, its
+# pattern, readers of one lexeme and of comma-separated ones, and its printer.
+_Value = namedtuple("_Value", "label kinds pattern one read show")
+
+
+def _name(lexeme: str) -> str:
+    # the statement path has no lexer to make a keyword a KEYWORD token: this refuses
+    # it there, which sends the input to the token path
+    if lexeme in KEYWORDS:
+        raise ValueError(f"keyword {lexeme!r} where a name belongs")
+    return lexeme
+
+
+_NAME = _Value("identifier", (TokenKind.IDENT,), rf"[^\W\d]\w*{_W}",
+               _name, lambda text: tuple(map(_name, map(str.strip, text.split(_SEP)))), str)
+_INT = _Value("integer", (TokenKind.INT,), rf"-?\d+{_END}",
+              int, lambda text: tuple(map(int, text.split(_SEP))), str)
+_NUMBER = _Value("number", (TokenKind.INT, TokenKind.FLOAT), rf"-?{_NUM}{_END}",
+                 float, lambda text: tuple(map(float, text.split(_SEP))),
+                 lambda x: repr(float(x)))
+# `complex` reads both parts of `a+bj` as `float` does, so every value keeps its bits
+_AMPLITUDE = _Value("complex number", (TokenKind.INT, TokenKind.FLOAT, TokenKind.COMPLEX),
+                    rf"-?{_NUM}(?:[+-]{_NUM}i)?{_END}", lambda s: complex(s.replace("i", "j")),
+                    lambda text: tuple(map(complex, text.replace("i", "j").split(_SEP))),
+                    lambda z: _NUMBER.show(z.real) + ("" if z.imag == 0.0 else "-+"[z.imag >= 0]
+                                                      + _NUMBER.show(abs(z.imag)) + "i"))
+
+# keyword -> (ExperimentSpec fields its name must be new in, word for a duplicate,
+#             constructor, steps after the name)
 _STATEMENTS = {
-    "space": (("spaces",), "space"),
-    "state": (("states",), "state"),
-    "proj": (("projectors",), "projector"),
-    "history": (("histories", "orhistories"), "history"),
-    "orhistory": (("orhistories", "histories"), "history"),
+    "space": (("spaces",), "space", SpaceDecl, ("dim", _INT, ";")),
+    "state": (("states",), "state", StateDecl, ("in", _NAME, "=", {
+        "bloch": (BlochForm, "(", _NUMBER, ",", _NUMBER, ")"),
+        None: (None, [_AMPLITUDE]),
+    }, ";")),
+    "proj": (("projectors",), "projector", ProjDecl, ("on", _NAME, "=", {
+        "span": (SpanForm, [_INT]),
+        "ketbra": (KetbraForm, _NAME),
+        "not": (NotForm, _NAME),
+    }, ";")),
+    "history": (("histories", "orhistories"), "history", HistoryDecl,
+                ("=", [_NUMBER, ":", _NAME], ";")),
+    "orhistory": (("orhistories", "histories"), "history", OrHistoryDecl,
+                  ("=", "or", [_NAME], ";")),
 }
 
 
-_T = TypeVar("_T")
+def _terminals(steps):
+    """The literals, list punctuation and alternative keywords of `steps`."""
+    for step in steps:
+        if isinstance(step, str):
+            yield step
+        elif isinstance(step, list):
+            yield from [_OPEN, _SEP, _CLOSE, *_terminals(step)]
+        elif isinstance(step, dict):
+            for key, (_, *alt) in step.items():
+                yield from _terminals(alt if key is None else [key, *alt])
 
 
-def _found(tok: Token, expected: str) -> ParseError:
-    return ParseError(f"found {tok.lexeme!r}", tok.line, tok.column, expected=expected)
+_TERMINALS = dict.fromkeys(_terminals(t for kw, (*_, steps) in _STATEMENTS.items()
+                                      for t in [kw, *steps]))
+KEYWORDS = frozenset(t for t in _TERMINALS if t.isalpha())
+# Blanks and comments, then one alternation tried in order. `end` takes the blanks at the
+# end of input, which `bad` would otherwise catch; `bad` catches what the others refuse.
+# Compiled on first use, through re's cache: `parse_text` lexes only input it refuses.
+_TOKEN_PATTERN = r"(?:[ \t\r]+|#[^\n]*)*(?:" + "|".join(f"(?P<{k}>{p})" for k, p in (
+    ("COMPLEX", _COMPLEX_RE.pattern),
+    ("FLOAT", rf"-?(?:(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+){_END}"),
+    ("INT", rf"-?\d+{_END}"),
+    ("word", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("PUNCT", "[" + "".join(re.escape(t) for t in _TERMINALS if not t.isalpha()) + "]"),
+    ("newline", r"\n"),
+    ("end", r"\Z"),
+    ("bad", "."),
+)) + ")"
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.i = 0
-        if tokens:
-            last = tokens[-1]
-            self.eof_pos = (last.line, last.column + len(last.lexeme))
-        else:
-            self.eof_pos = (1, 1)
-
-    def peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self, expected: str, *kinds: TokenKind, lexeme: str | None = None) -> Token:
-        """Consume the next token if it is one of `kinds` (and reads `lexeme`, if given)."""
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("found end of input", *self.eof_pos, expected=expected)
-        if tok.kind not in kinds or (lexeme is not None and tok.lexeme != lexeme):
-            raise _found(tok, expected)
-        self.i += 1
-        return tok
-
-    def bracketed(self, item: Callable[[], _T]) -> tuple[_T, ...]:
-        """`[` item {`,` item} `]`"""
-        self.take("'['", TokenKind.PUNCT, lexeme="[")
-        items = [item()]
-        while (sep := self.take("']'", TokenKind.PUNCT)).lexeme == ",":
-            items.append(item())
-        if sep.lexeme != "]":
-            raise _found(sep, "']'")
-        return tuple(items)
+# ---------------------------------------------------------------------------
+# Token parser
 
 
 def parse(tokens: list[Token]) -> ExperimentSpec:
-    """Build the AST; stops at the first syntax error (no recovery)."""
-    p = _Parser(tokens)
+    """Build the AST by walking `_STATEMENTS` over the tokens; stops at the first
+    syntax error (no recovery)."""
     spec = ExperimentSpec()
+    i, n = 0, len(tokens)
+    end = (tokens[-1].line, tokens[-1].column + len(tokens[-1].lexeme)) if tokens else (1, 1)
 
-    def sym(lexeme: str, kind: TokenKind = TokenKind.PUNCT) -> Token:
-        return p.take(f"'{lexeme}'", kind, lexeme=lexeme)
+    def found(expected: str) -> ParseError:
+        if i == n:
+            return ParseError("found end of input", *end, expected=expected)
+        tok = tokens[i]
+        return ParseError(f"found {tok.lexeme!r}", tok.line, tok.column, expected=expected)
 
-    def ident() -> str:
-        return p.take("identifier", TokenKind.IDENT).lexeme
+    def values(steps) -> list:
+        nonlocal i
+        out = []
+        for step in steps:
+            if isinstance(step, str):
+                if i == n or tokens[i].lexeme != step:  # only a KEYWORD or PUNCT reads so
+                    raise found(f"'{step}'")
+                i += 1
+            elif isinstance(step, _Value):
+                if i == n or tokens[i].kind not in step.kinds:
+                    raise found(step.label)
+                try:
+                    out.append(step.one(tokens[i].lexeme))
+                except ValueError:  # e.g. beyond the interpreter's digit limit
+                    raise ParseError(f"{step.label} literal out of range",
+                                     *tokens[i][2:]) from None
+                i += 1
+            elif isinstance(step, list):
+                items = [values([_OPEN, *step])]
+                while i < n and tokens[i].lexeme == _SEP:
+                    items.append(values([_SEP, *step]))
+                values([_CLOSE])
+                out.append(tuple(item[0] if len(step) == 1 else tuple(item) for item in items))
+            else:
+                key = tokens[i].lexeme if i < n and tokens[i].lexeme in step else None
+                if key not in step:
+                    keys = [f"'{key}'" for key in step]
+                    raise found(" or ".join(filter(None, (", ".join(keys[:-1]), keys[-1]))))
+                ctor, *alt = step[key]
+                node = values(alt if key is None else [key, *alt])
+                out.append(node[0] if ctor is None else ctor(*node))
+        return out
 
-    def number() -> float:
-        """INT or FLOAT where the grammar says FLOAT."""
-        return float(p.take("number", TokenKind.INT, TokenKind.FLOAT).lexeme)
-
-    def integer() -> int:
-        tok = p.take("integer", TokenKind.INT)
-        try:
-            return int(tok.lexeme)
-        except ValueError:  # e.g. beyond the interpreter's digit limit
-            raise ParseError("integer literal out of range", tok.line, tok.column) from None
-
-    def amplitude() -> complex:
-        tok = p.take("complex number", TokenKind.INT, TokenKind.FLOAT, TokenKind.COMPLEX)
-        if tok.kind is TokenKind.COMPLEX:
-            re_part, sign, im_part = _COMPLEX_RE.match(tok.lexeme).groups()
-            return complex(float(re_part), float(sign + im_part))
-        return complex(float(tok.lexeme), 0.0)
-
-    def step() -> tuple[float, str]:
-        t = number()
-        sym(":")
-        return t, ident()
-
-    while p.peek() is not None:
-        kw = p.take("a statement keyword", TokenKind.KEYWORD)
-        if kw.lexeme not in _STATEMENTS:
-            raise _found(kw, "a statement keyword")
-        fields, word = _STATEMENTS[kw.lexeme]
-        name_tok = p.take("identifier", TokenKind.IDENT)
-        name, pos = name_tok.lexeme, (name_tok.line, name_tok.column)
+    while i < n:
+        if tokens[i].lexeme not in _STATEMENTS:
+            raise found("a statement keyword")
+        fields, word, ctor, steps = _STATEMENTS[tokens[i].lexeme]
+        i += 1
+        (name,) = values([_NAME])
+        pos = tokens[i - 1][2:]  # the name's line and column
         if any(name in getattr(spec, f) for f in fields):
             raise ParseError(f"duplicate {word} name {name!r}", *pos)
-        if kw.lexeme == "space":
-            sym("dim", TokenKind.KEYWORD)
-            decl = SpaceDecl(name, integer(), pos)
-        elif kw.lexeme == "state":
-            sym("in", TokenKind.KEYWORD)
-            space = ident()
-            sym("=")
-            nxt = p.peek()
-            if nxt is not None and nxt.kind is TokenKind.KEYWORD and nxt.lexeme == "bloch":
-                sym("bloch", TokenKind.KEYWORD)
-                sym("(")
-                theta = number()
-                sym(",")
-                phi = number()
-                sym(")")
-                body: tuple[complex, ...] | BlochForm = BlochForm(theta, phi)
-            else:
-                body = p.bracketed(amplitude)
-            decl = StateDecl(name, space, body, pos)
-        elif kw.lexeme == "proj":
-            sym("on", TokenKind.KEYWORD)
-            space = ident()
-            sym("=")
-            form = p.take("'span', 'ketbra' or 'not'", TokenKind.KEYWORD)
-            if form.lexeme == "span":
-                proj_body: SpanForm | KetbraForm | NotForm = SpanForm(p.bracketed(integer))
-            elif form.lexeme == "ketbra":
-                proj_body = KetbraForm(ident())
-            elif form.lexeme == "not":
-                proj_body = NotForm(ident())
-            else:
-                raise _found(form, "'span', 'ketbra' or 'not'")
-            decl = ProjDecl(name, space, proj_body, pos)
-        elif kw.lexeme == "history":
-            sym("=")
-            decl = HistoryDecl(name, p.bracketed(step), pos)
-        else:
-            sym("=")
-            sym("or", TokenKind.KEYWORD)
-            decl = OrHistoryDecl(name, p.bracketed(ident), pos)
-        sym(";")
-        getattr(spec, fields[0])[name] = decl
+        getattr(spec, fields[0])[name] = ctor(name, *values(steps), pos)
     return spec
 
 
-# The statement path: one match per declaration, on text whose comments are blanked
-# (`#` always starts one), so that a gap is the unambiguous `[ \t\r\n]*` and a failed
-# match backtracks in linear time. As in `tokenize`, a word may not run into another
-# (`spaceQ` is one word; `\w` is ASCII here) and a number not into a word or a dot.
-# Keywords in name slots are refused in Python, which keeps the pattern quick to
-# compile. Each body group is named after its statement keyword, so `lastgroup`
-# tells which keyword's body matched.
+# ---------------------------------------------------------------------------
+# Statement path
+#
+# One match of `_STATEMENT_RE` per declaration, on text whose comments are blanked (`#`
+# always starts one), so that a gap is the unambiguous `[ \t\r\n]*` and a failed match
+# backtracks in linear time. Each value has a named group, and each way through a
+# statement ends in a group of its own: `lastgroup` picks that way's form in `_FORMS`.
 _G = r"[ \t\r\n]*"
-_W = r"(?!\w)"
-_ID = rf"[^\W\d]\w*{_W}"
-_NUMBER = rf"-?{_NUM}{_END}"
-_INT = rf"-?\d+{_END}"
 
 
-def _items(group: str, item: str) -> str:
-    """`[` item {`,` item} `]`, the items' text captured in `group`: each item ends
-    at a `,` that no `]` follows, or before the `]`."""
-    return rf"\[(?P<{group}>(?:{_G}{item}{_G}(?:,(?!{_G}\])|(?=\])))+)\]"
+def _literal(text: str) -> str:
+    return re.escape(text) + _W * text.isalpha()
 
 
-_AMPS = _items("amps", rf"-?{_NUM}(?:[+-]{_NUM}i)?{_END}")
-_SPAN = _items("span", _INT)
-_STEPS = _items("steps", rf"{_NUMBER}{_G}:{_G}{_ID}")
-_BRANCHES = _items("branches", _ID)
-_STATEMENT_RE = re.compile(
-    rf"(?P<kw>space|state|proj|history|orhistory){_W}{_G}(?P<name>{_ID}){_G}(?:"
-    rf"(?P<space>dim{_W}{_G}(?P<dim>{_INT}))"
-    rf"|(?P<state>in{_W}{_G}(?P<in>{_ID}){_G}={_G}(?:"
-    rf"bloch{_W}{_G}\((?P<bloch>{_G}{_NUMBER}{_G},{_G}{_NUMBER}){_G}\)|{_AMPS}))"
-    rf"|(?P<proj>on{_W}{_G}(?P<on>{_ID}){_G}={_G}(?:span{_W}{_G}{_SPAN}"
-    rf"|ketbra{_W}{_G}(?P<ketbra>{_ID})|not{_W}{_G}(?P<not>{_ID})))"
-    rf"|(?P<history>={_G}{_STEPS})"
-    rf"|(?P<orhistory>={_G}or{_W}{_G}{_BRANCHES})"
-    rf"){_G};{_G}",
-    re.ASCII,
-)
-_COMMENT_RE = re.compile(r"#[^\n]*")
-_STEP_RE = re.compile(rf"(-?{_NUM}){_G}:{_G}(\w+)", re.ASCII)
-_WORD_RE = re.compile(r"\w+", re.ASCII)
+def _list(steps, group: str) -> tuple[str, Callable[[str], tuple]]:
+    """The pattern of a list, its items' text in `group`, and the reader of that text.
+    An item ends at a `,` that no `]` follows, or before the `]`."""
+    def item(value) -> str:
+        return _G.join(_literal(s) if isinstance(s, str) else value(s.pattern) for s in steps)
+
+    sep, close = re.escape(_SEP), re.escape(_CLOSE)
+    pattern = (rf"{re.escape(_OPEN)}(?P<{group}>(?:{_G}{item(str)}{_G}"
+               rf"(?:{sep}(?!{_G}{close})|(?={close})))+){close}")
+    if len(steps) == 1:
+        return pattern, steps[0].read
+    rows = re.compile(item("({})".format), re.ASCII).findall
+    ones = [s.one for s in steps if not isinstance(s, str)]
+    return pattern, lambda text: tuple(zip(*map(map, ones, zip(*rows(text)))))  # by column
+
+
+def _compile(steps, groups) -> tuple[str, list[list]]:
+    """The pattern of `steps` and a flat read plan for each way through their
+    alternatives: (group, reader) appends the reading of a group's text, and
+    (n, constructor) puts an alternative's node in place of its last n values."""
+    parts, plans = [], [[]]
+    for step in steps:
+        if isinstance(step, str):
+            parts.append(_literal(step))
+        elif isinstance(step, dict):
+            branches, ways = [], []
+            for key, (ctor, *alt) in step.items():
+                pattern, alt_plans = _compile(alt if key is None else [key, *alt], groups)
+                branches.append(pattern)
+                node = [(sum(not isinstance(s, str) for s in alt), ctor)] * (ctor is not None)
+                ways += [plan + node for plan in alt_plans]
+            parts.append(f"(?:{'|'.join(branches)})")
+            plans = [plan + way for plan in plans for way in ways]
+        else:
+            group = f"g{next(groups)}"
+            pattern, read = (_list(step, group) if isinstance(step, list)
+                             else (f"(?P<{group}>{step.pattern})", step.one))
+            parts.append(pattern)
+            plans = [plan + [(group, read)] for plan in plans]
+    return _G.join(parts), plans
+
+
+def _statement_pattern() -> tuple[re.Pattern, dict]:
+    """The statement pattern, and each way's form by its last group: the namespaces of
+    the name, the constructor and the read plan, whose first group reads the name."""
+    groups, patterns, forms = count(), [], {}
+    for kw, (fields, _, ctor, steps) in _STATEMENTS.items():
+        pattern, plans = _compile([kw, _NAME, *steps], groups)
+        patterns.append(pattern)
+        for plan in plans:
+            forms[[g for g, _ in plan if isinstance(g, str)][-1]] = (fields, ctor, tuple(plan))
+    return re.compile(f"(?:{'|'.join(patterns)}){_G}", re.ASCII), forms
+
+
+_STATEMENT_RE, _FORMS = _statement_pattern()
 
 
 def _parse_statements(source: str) -> ExperimentSpec | None:
     """The AST of `source`, read one declaration per match, or None for any input that
     `parse(tokenize(source))` must decide. On every input this accepts, that returns
-    the same AST: each number is read from its lexeme by `int`, `float` or `complex`,
-    which reads both parts of `a+bj` as `float` does, so every value keeps its bits."""
+    the same AST, down to positions and signed zeros."""
     if "#" in source:  # blanks of equal length keep every column
-        source = _COMMENT_RE.sub(lambda c: " " * len(c[0]), source)
+        source = re.sub(r"#[^\n]*", lambda c: " " * len(c[0]), source)
     spec = ExperimentSpec()
-    match, keywords = _STATEMENT_RE.match, KEYWORDS
+    forms = {last: ([getattr(spec, f) for f in fields], ctor, plan)
+             for last, (fields, ctor, plan) in _FORMS.items()}
+    match = _STATEMENT_RE.match
     pos, end = len(source) - len(source.lstrip(" \t\r\n")), len(source)
     # `line` is the line of offset `counted`, `line_start` the offset of the newline before it
     line, line_start, counted = 1, -1, 0
-    while pos < end:
-        m = match(source, pos)
-        if m is None or m.lastgroup != (kw := m["kw"]):
-            return None
-        name, at = m["name"], m.start("name")
-        line += source.count("\n", counted, at)
-        line_start = max(line_start, source.rfind("\n", counted, at))
-        counted, pos, name_pos = at, m.end(), (line, at - line_start)
-        int_text = m["dim"] or m["span"]
-        try:
-            ints = () if int_text is None else tuple(map(int, int_text.split(",")))
-        except ValueError:  # beyond the interpreter's digit limit
-            return None
-        if kw == "space":
-            refs: list[str] = []
-            decl = SpaceDecl(name, ints[0], name_pos)
-        elif kw == "state":
-            refs = [m["in"]]
-            if m["bloch"] is not None:
-                body: tuple[complex, ...] | BlochForm = BlochForm(
-                    *map(float, m["bloch"].split(",")))
-            else:
-                body = tuple(map(complex, m["amps"].replace("i", "j").split(",")))
-            decl = StateDecl(name, refs[0], body, name_pos)
-        elif kw == "proj":
-            refs = [m["on"], *filter(None, (m["ketbra"], m["not"]))]
-            if m["span"] is not None:
-                proj_body: SpanForm | KetbraForm | NotForm = SpanForm(ints)
-            elif m["ketbra"] is not None:
-                proj_body = KetbraForm(m["ketbra"])
-            else:
-                proj_body = NotForm(m["not"])
-            decl = ProjDecl(name, refs[0], proj_body, name_pos)
-        elif kw == "history":
-            steps = _STEP_RE.findall(m["steps"])
-            refs = [ref for _, ref in steps]
-            decl = HistoryDecl(name, tuple((float(t), ref) for t, ref in steps), name_pos)
-        else:
-            refs = _WORD_RE.findall(m["branches"])
-            decl = OrHistoryDecl(name, tuple(refs), name_pos)
-        fields = _STATEMENTS[kw][0]
-        if (name in keywords or not keywords.isdisjoint(refs)
-                or any(name in getattr(spec, f) for f in fields)):
-            return None
-        getattr(spec, fields[0])[name] = decl
+    try:
+        while pos < end:
+            m = match(source, pos)
+            if m is None:
+                return None
+            namespaces, ctor, plan = forms[m.lastgroup]
+            args: list = []
+            for group, read in plan:
+                if type(group) is int:
+                    args[-group:] = (read(*args[-group:]),)
+                else:
+                    args.append(read(m[group]))
+            if any(args[0] in names for names in namespaces):
+                return None
+            at = m.start(plan[0][0])
+            line += source.count("\n", counted, at)
+            line_start = max(line_start, source.rfind("\n", counted, at))
+            counted, pos = at, m.end()
+            namespaces[0][args[0]] = ctor(*args, (line, at - line_start))
+    except ValueError:  # a keyword in a name slot, or an integer beyond the digit limit
+        return None
     return spec
 
 
@@ -472,9 +469,9 @@ def parse_bytes(data: bytes) -> ExperimentSpec:
     try:
         source = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        prefix = data[: exc.start]
-        line = prefix.count(b"\n") + 1
-        col = exc.start - (prefix.rfind(b"\n") + 1) + 1
+        prefix = data[: exc.start].decode("utf-8")  # columns count characters
+        line = prefix.count("\n") + 1
+        col = len(prefix) - (prefix.rfind("\n") + 1) + 1
         raise ParseError("invalid UTF-8 byte", line, col) from None
     return parse_text(source)
 
@@ -483,41 +480,39 @@ def parse_bytes(data: bytes) -> ExperimentSpec:
 # Pretty printer
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
+_TIGHT_RE = re.compile(r" (?=[(),:;\]])|(?<=[(\[]) ")  # the blanks before `(),:;]`, after `([`
 
 
-def _fmt_complex(z: complex) -> str:
-    if z.imag == 0.0:
-        return _fmt_float(z.real)
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{_fmt_float(z.real)}{sign}{_fmt_float(abs(z.imag))}i"
+def _show(steps, values, out: list[str]) -> None:
+    values = iter(values)
+    for step in steps:
+        if isinstance(step, str):
+            out.append(step)
+        elif isinstance(step, _Value):
+            out.append(step.show(next(values)))
+        elif isinstance(step, list):
+            out.append(_OPEN)
+            for k, item in enumerate(next(values)):
+                out += [_SEP] * (k > 0)
+                _show(step, (item,) if len(step) == 1 else item, out)
+            out.append(_CLOSE)
+        else:
+            node = next(values)
+            key = next((k for k, (ctor, *_) in step.items()
+                        if ctor is not None and isinstance(node, ctor)), None)
+            ctor, *alt = step[key]
+            _show(alt if key is None else [key, *alt],
+                  (node,) if ctor is None else vars(node).values(), out)
 
 
 def pretty_print(spec: ExperimentSpec) -> str:
     """Canonical source text; reparsing yields a structurally equal AST."""
     lines: list[str] = []
-    for s in spec.spaces.values():
-        lines.append(f"space {s.name} dim {s.dim};")
-    for st in spec.states.values():
-        if isinstance(st.body, BlochForm):
-            rhs = f"bloch({_fmt_float(st.body.theta)}, {_fmt_float(st.body.phi)})"
-        else:
-            rhs = "[" + ", ".join(_fmt_complex(z) for z in st.body) + "]"
-        lines.append(f"state {st.name} in {st.space} = {rhs};")
-    for pr in spec.projectors.values():
-        if isinstance(pr.body, SpanForm):
-            rhs = "span [" + ", ".join(str(i) for i in pr.body.indices) + "]"
-        elif isinstance(pr.body, KetbraForm):
-            rhs = f"ketbra {pr.body.state}"
-        else:
-            rhs = f"not {pr.body.projector}"
-        lines.append(f"proj {pr.name} on {pr.space} = {rhs};")
-    for h in spec.histories.values():
-        steps = ", ".join(f"{_fmt_float(t)}: {ref}" for t, ref in h.steps)
-        lines.append(f"history {h.name} = [{steps}];")
-    for oh in spec.orhistories.values():
-        lines.append(f"orhistory {oh.name} = or [" + ", ".join(oh.branches) + "];")
+    for kw, (fields, _, _, steps) in _STATEMENTS.items():
+        for decl in getattr(spec, fields[0]).values():
+            out: list[str] = []
+            _show([kw, _NAME, *steps], list(vars(decl).values())[:-1], out)  # all but pos
+            lines.append(_TIGHT_RE.sub("", " ".join(out)))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -542,6 +537,9 @@ def _require_finite(values, what: str, pos: Pos) -> None:
     # not cmath.isfinite: importing cmath maps one more extension module (56 kB of RSS)
     if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in values):
         raise ElaborationError(f"non-finite value in {what}", *pos)
+
+
+_T = TypeVar("_T")
 
 
 def _resolve(table: dict[str, _T], ref: str, what: str, pos: Pos) -> _T:

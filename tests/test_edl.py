@@ -30,6 +30,8 @@ from hmsim.edl import (
     Token,
     TokenKind,
     _COMPLEX_RE,
+    _FORMS,
+    _TERMINALS,
     _parse_statements,
     elaborate,
     parse,
@@ -336,6 +338,16 @@ def test_negation_decomposition_file_agrees():
 def test_parse_bytes_invalid_utf8():
     with pytest.raises(ParseError):
         parse_bytes(b"space Q \xff dim 2;")
+    for data, message in [
+        (b"space Q \xff dim 2;", "line 1 col 9: invalid UTF-8 byte"),
+        # columns count characters, as in every other diagnostic: the two-byte `é` is one
+        (b"space Q dim 2; # \xc3\xa9\xff\n", "line 1 col 19: invalid UTF-8 byte"),
+        (b"# \xe2\x82\xac\nspace \xc3\xa9 \xe2\x82", "line 2 col 9: invalid UTF-8 byte"),
+        (b"\xff", "line 1 col 1: invalid UTF-8 byte"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_bytes(data)
+        assert str(err.value) == message
 
 
 def test_absurdly_long_integer_literal_is_a_parse_error():
@@ -945,3 +957,160 @@ def test_statement_path_accepts_every_valid_corpus_file():
        | respaced_corpus)
 def test_statement_path_accepts_every_generated_source(source):
     _assert_statement_path_accepts(source)
+
+
+# Every label a diagnostic can carry, once on a wrong token and once at end of input
+# (a statement keyword is only ever expected where a token is left), each integer
+# slot out of range, and each duplicate-name message, history and orhistory both
+# ways. The texts are pinned as written, independently of either parser.
+Q = "space Q dim 2;\n"
+P = Q + "proj P on Q = span [0];\n"
+H = P + "history H = [0: P];\n"
+PARSE_ERRORS = [
+    ("Q dim 2;", "line 1 col 1: found 'Q' (expected a statement keyword)"),
+    ("space Q dim 2; dim", "line 1 col 16: found 'dim' (expected a statement keyword)"),
+    ("space 2 dim 2;", "line 1 col 7: found '2' (expected identifier)"),
+    ("space", "line 1 col 6: found end of input (expected identifier)"),
+    ("space Q 2;", "line 1 col 9: found '2' (expected 'dim')"),
+    ("space Q", "line 1 col 8: found end of input (expected 'dim')"),
+    ("space Q dim 2.0;", "line 1 col 13: found '2.0' (expected integer)"),
+    ("space Q dim", "line 1 col 12: found end of input (expected integer)"),
+    (Q + "state s on Q = [1, 0];", "line 2 col 9: found 'on' (expected 'in')"),
+    (Q + "state s", "line 2 col 8: found end of input (expected 'in')"),
+    (Q + "state s in Q [1, 0];", "line 2 col 14: found '[' (expected '=')"),
+    (Q + "state s in Q", "line 2 col 13: found end of input (expected '=')"),
+    (Q + "state s in Q = 1;", "line 2 col 16: found '1' (expected '[')"),
+    (Q + "state s in Q =", "line 2 col 15: found end of input (expected '[')"),
+    (Q + "state s in Q = bloch 1, 0);", "line 2 col 22: found '1' (expected '(')"),
+    (Q + "state s in Q = bloch", "line 2 col 21: found end of input (expected '(')"),
+    (Q + "state s in Q = bloch(x, 0);", "line 2 col 22: found 'x' (expected number)"),
+    (Q + "state s in Q = bloch(", "line 2 col 22: found end of input (expected number)"),
+    (Q + "state s in Q = bloch(1 0);", "line 2 col 24: found '0' (expected ',')"),
+    (Q + "state s in Q = bloch(1", "line 2 col 23: found end of input (expected ',')"),
+    (Q + "state s in Q = bloch(1, 0;", "line 2 col 26: found ';' (expected ')')"),
+    (Q + "state s in Q = bloch(1, 0", "line 2 col 26: found end of input (expected ')')"),
+    (Q + "state s in Q = [1, x];", "line 2 col 20: found 'x' (expected complex number)"),
+    (Q + "state s in Q = [1,", "line 2 col 19: found end of input (expected complex number)"),
+    (Q + "state s in Q = [1 0];", "line 2 col 19: found '0' (expected ']')"),
+    (Q + "state s in Q = [1, 0", "line 2 col 21: found end of input (expected ']')"),
+    (Q + "proj P on Q = bloch(1, 0);",
+     "line 2 col 15: found 'bloch' (expected 'span', 'ketbra' or 'not')"),
+    (Q + "proj P on Q = P;", "line 2 col 15: found 'P' (expected 'span', 'ketbra' or 'not')"),
+    (Q + "proj P on Q =",
+     "line 2 col 14: found end of input (expected 'span', 'ketbra' or 'not')"),
+    (P + "history H = [0 P];", "line 3 col 16: found 'P' (expected ':')"),
+    (P + "history H = [0", "line 3 col 15: found end of input (expected ':')"),
+    (Q + "orhistory O = [H];", "line 2 col 15: found '[' (expected 'or')"),
+    (Q + "orhistory O =", "line 2 col 14: found end of input (expected 'or')"),
+    (Q + "proj P on Q = span [0] proj", "line 2 col 24: found 'proj' (expected ';')"),
+    (Q + "proj P on Q = span [0]", "line 2 col 23: found end of input (expected ';')"),
+    ("space Q dim " + "9" * 5000 + ";", "line 1 col 13: integer literal out of range"),
+    (Q + "proj P on Q = span [0, " + "9" * 5000 + "];",
+     "line 2 col 24: integer literal out of range"),
+    (Q + "space Q dim 3;", "line 2 col 7: duplicate space name 'Q'"),
+    (Q + "state s in Q = [1, 0];\nstate s in Q = bloch(1, 0);",
+     "line 3 col 7: duplicate state name 's'"),
+    (P + "proj P on Q = not P;", "line 3 col 6: duplicate projector name 'P'"),
+    (H + "history H = [1: P];", "line 4 col 9: duplicate history name 'H'"),
+    (H + "orhistory O = or [H];\norhistory O = or [H];",
+     "line 5 col 11: duplicate history name 'O'"),
+    (H + "orhistory H = or [H];", "line 4 col 11: duplicate history name 'H'"),
+    (H + "orhistory O = or [H];\nhistory O = [0: P];",
+     "line 5 col 9: duplicate history name 'O'"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_every_diagnostic_keeps_its_text(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_text(text)
+    assert str(err.value) == message
+
+
+def test_keywords_and_punctuation_come_from_the_grammar_table():
+    assert KEYWORDS == {"space", "dim", "state", "in", "bloch", "proj", "on", "span",
+                        "ketbra", "not", "history", "orhistory", "or"}
+    ebnf = "\n".join(line for line in hmsim.edl.__doc__.splitlines() if line.startswith("    "))
+    assert set(re.findall(r'"([^"]+)"', ebnf)) == set(_TERMINALS) | {"+", "-", "i"}
+    # one form per way through a statement, each told apart by its last group:
+    # space, state (list or bloch), proj (span, ketbra or not), history, orhistory
+    assert len(_FORMS) == 8
+
+
+# The printer before it walked the grammar table, kept as the oracle.
+def _fmt_float(x: float) -> str:
+    return repr(float(x))
+
+
+def _fmt_complex(z: complex) -> str:
+    if z.imag == 0.0:
+        return _fmt_float(z.real)
+    sign = "+" if z.imag >= 0 else "-"
+    return f"{_fmt_float(z.real)}{sign}{_fmt_float(abs(z.imag))}i"
+
+
+def pretty_print_oracle(spec: ExperimentSpec) -> str:
+    lines: list[str] = []
+    for s in spec.spaces.values():
+        lines.append(f"space {s.name} dim {s.dim};")
+    for st_ in spec.states.values():
+        if isinstance(st_.body, BlochForm):
+            rhs = f"bloch({_fmt_float(st_.body.theta)}, {_fmt_float(st_.body.phi)})"
+        else:
+            rhs = "[" + ", ".join(_fmt_complex(z) for z in st_.body) + "]"
+        lines.append(f"state {st_.name} in {st_.space} = {rhs};")
+    for pr in spec.projectors.values():
+        if isinstance(pr.body, SpanForm):
+            rhs = "span [" + ", ".join(str(i) for i in pr.body.indices) + "]"
+        elif isinstance(pr.body, KetbraForm):
+            rhs = f"ketbra {pr.body.state}"
+        else:
+            rhs = f"not {pr.body.projector}"
+        lines.append(f"proj {pr.name} on {pr.space} = {rhs};")
+    for h in spec.histories.values():
+        steps = ", ".join(f"{_fmt_float(t)}: {ref}" for t, ref in h.steps)
+        lines.append(f"history {h.name} = [{steps}];")
+    for oh in spec.orhistories.values():
+        lines.append(f"orhistory {oh.name} = or [" + ", ".join(oh.branches) + "];")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1).map(random.Random).map(random_experiment_source)
+       | respaced_corpus)
+def test_pretty_print_matches_the_oracle(source):
+    spec = parse_text(source)
+    assert pretty_print(spec) == pretty_print_oracle(spec)
+
+
+plain_numbers = st.floats() | st.integers(-3, 3) | st.sampled_from([0.0, -0.0, math.inf, math.nan])
+amplitudes = st.builds(complex, plain_numbers, plain_numbers) | plain_numbers
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(amplitudes, min_size=1, max_size=4), plain_numbers, plain_numbers,
+       st.lists(st.tuples(plain_numbers, st.sampled_from(["P", "N"])), min_size=1, max_size=3))
+def test_pretty_print_matches_the_oracle_on_built_asts(amps, theta, phi, steps):
+    """Hand-built values the parser never makes: ints, and signed zeros in either part."""
+    spec = ExperimentSpec(
+        spaces={"Q": SpaceDecl("Q", 2)},
+        states={"s": StateDecl("s", "Q", tuple(amps)),
+                "b": StateDecl("b", "Q", BlochForm(theta, phi))},
+        projectors={"P": ProjDecl("P", "Q", SpanForm((0, 1))),
+                    "K": ProjDecl("K", "Q", KetbraForm("s")),
+                    "N": ProjDecl("N", "Q", NotForm("P"))},
+        histories={"H": HistoryDecl("H", tuple(steps))},
+        orhistories={"O": OrHistoryDecl("O", ("H", "H"))},
+    )
+    assert pretty_print(spec) == pretty_print_oracle(spec)
+
+
+def test_pretty_print_signed_zeros_and_int_times():
+    spec = ExperimentSpec(
+        states={"s": StateDecl("s", "Q", (complex(-0.0, -0.0), complex(0.5, -0.0),
+                                          complex(-0.0, 1.0), -0.0, 2))},
+        histories={"H": HistoryDecl("H", ((0, "P"), (-0.0, "P"), (2, "P")))},
+    )
+    expected = ("state s in Q = [-0.0, 0.5, -0.0+1.0i, -0.0, 2.0];\n"
+                "history H = [0.0: P, -0.0: P, 2.0: P];\n")
+    assert pretty_print(spec) == pretty_print_oracle(spec) == expected
