@@ -54,6 +54,7 @@ import numpy as np  # noqa: E402
 
 from .dichotomic import (  # noqa: E402
     LAMBDA_CAP,
+    SCALE_BITS,
     BlochVector,
     DyadicRule,
     _exact_checks,
@@ -74,9 +75,9 @@ from .histories import (  # noqa: E402
 )
 from .rng import RandomSource  # noqa: E402
 from .sampler import (  # noqa: E402
+    FrequencySummary,
     Model,
     _check_branch_sum,
-    exact_check,
     run_dichotomic,
 )
 
@@ -223,47 +224,46 @@ def cmd_verify(config: RunConfig, target_p: float | None) -> int:
     return 0 if all(oks) else 1
 
 
+def _sampled(config: RunConfig, model: Model, value: float,
+             stream: int) -> tuple[FrequencySummary, bool]:
+    """config.trials trials of `model` on stream `stream`, and whether |z| < Z_THRESHOLD."""
+    s = run_dichotomic(model, value, config.trials, RandomSource(config.seed, stream),
+                       config.lambda_max)
+    return s, abs(s.z_score) < Z_THRESHOLD
+
+
 def cmd_sample(config: RunConfig, model: Model, value: float) -> int:
     if config.trials < 1:
         print("sample: --trials must be >= 1", file=sys.stderr)
         return 2
-    rng = RandomSource(config.seed, 0)
-    summary = run_dichotomic(model, value, config.trials, rng, config.lambda_max)
+    summary, ok = _sampled(config, model, value, 0)
     rows = [{"model": model.value, "value": value, "frequency": summary.frequency,
-             **summary.to_record()}]
+             **vars(summary)}]
     emit_report("sample", SAMPLE_COLUMNS, rows, config)
-    return 0 if abs(summary.z_score) < Z_THRESHOLD else 1
+    return 0 if ok else 1
 
 
 def cmd_sphere(config: RunConfig, theta: float) -> int:
     if not 0.0 <= theta <= math.pi:
         raise HmsimError(f"theta={theta!r} outside [0, pi]")
     p = qubit_from_angles(theta)
-    axis = BlochVector(0.0, 0.0, 1.0)
-    proj = Projector([[1.0, 0.0], [0.0, 0.0]])
-    born = born_probability(p, proj)
-    t = diagonal_coordinate(bloch_of_qubit(p), axis)
+    born = born_probability(p, Projector.coordinate(2, [0]))
+    t = diagonal_coordinate(bloch_of_qubit(p), BlochVector(0.0, 0.0, 1.0))
     cont = continuous_probability(t)
-    greedy = exact_check(born, config.level, DyadicRule.GREEDY)
-    geom = exact_check(born, config.level, DyadicRule.GEOMETRIC)
+    # a greedy, then a geometric column entry
+    partial_sums, _, bounds = _exact_checks([born], config.level)
     row: dict = {
         "theta": theta, "L": config.level, "born_p": born, "continuous_p": cont,
-        "greedy_partial_sum": greedy.partial_sum, "geometric_partial_sum": geom.partial_sum,
+        "greedy_partial_sum": partial_sums[0], "geometric_partial_sum": partial_sums[1],
         "n_trials": config.trials,
     }
-    ok = abs(cont - born) <= 1e-12 and greedy.bound_satisfied and geom.bound_satisfied
+    ok = abs(cont - born) <= 1e-12 and all(bounds)
     if config.trials > 0:
-        runs = [
-            ("continuous", Model.CONTINUOUS, t),
-            ("greedy", Model.GREEDY, born),
-            ("geometric", Model.GEOMETRIC, t),
-        ]
-        for i, (label, model, value) in enumerate(runs):
-            s = run_dichotomic(model, value, config.trials, RandomSource(config.seed, i),
-                               config.lambda_max)
-            row[f"{label}_freq"] = s.frequency
-            row[f"{label}_z"] = s.z_score
-            ok = ok and abs(s.z_score) < Z_THRESHOLD
+        for i, model in enumerate([Model.CONTINUOUS, Model.GREEDY, Model.GEOMETRIC]):
+            s, passed = _sampled(config, model, born if model is Model.GREEDY else t, i)
+            row[f"{model.value}_freq"] = s.frequency
+            row[f"{model.value}_z"] = s.z_score
+            ok = ok and passed
     emit_report("sphere", SPHERE_COLUMNS, [row], config)
     return 0 if ok else 1
 
@@ -277,19 +277,18 @@ def cmd_history(config: RunConfig, name: str, state_name: str) -> int:
         print(f"history: unknown state {state_name!r}", file=sys.stderr)
         return 2
     state = exp.states[state_name]
-    homogeneous = exp.histories.get(name)
-    orhist = exp.orhistories.get(name)
-    if homogeneous is None and orhist is None:
+    # histories and orhistories share one namespace
+    if name in exp.histories:
+        entries = [(exp.histories[name], None)]
+    elif name in exp.orhistories:
+        branches = zip(exp.orhistories[name].branches, spec.orhistories[name].branches)
+        entries = [*branches, (None, "*")]
+    else:
         print(f"history: unknown history {name!r}", file=sys.stderr)
         return 2
 
     rows = []
     ok = True
-    if homogeneous is not None:
-        entries = [(homogeneous, None)]
-    else:
-        assert orhist is not None
-        entries = [*zip(orhist.branches, spec.orhistories[name].branches), (None, "*")]
     stream = 0
     for hist, branch in entries:
         row = {"name": name, "branch": branch, "n_trials": config.trials}
@@ -301,12 +300,11 @@ def cmd_history(config: RunConfig, name: str, state_name: str) -> int:
             if config.trials == 0:
                 continue
             # sampled as run_history samples it; a history's probability is at most 1
-            s = run_dichotomic(Model.GREEDY, _check_branch_sum(row[key]), config.trials,
-                               RandomSource(config.seed, stream), config.lambda_max)
+            s, passed = _sampled(config, Model.GREEDY, _check_branch_sum(row[key]), stream)
             stream += 1
             row[f"{conv.value}_freq"] = s.frequency
             row[f"{conv.value}_z"] = s.z_score
-            ok = ok and abs(s.z_score) < Z_THRESHOLD
+            ok = ok and passed
         if hist is not None and row["lueders_p"] > 0.0:
             states = trajectory(state, hist, HistoryOutcome.A)
             row["trajectory"] = json.dumps([vector_to_json(v) for v in states])
@@ -348,41 +346,42 @@ def cmd_parse_check(config: RunConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hmsim", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    # Flag groups; each subcommand takes only the groups it reads.
+    # Flag groups; each subcommand takes only the groups it reads. No flag has an
+    # argparse default: one left unset keeps RunConfig's (_make_config).
     fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=["csv", "json"], default="csv")
+    fmt.add_argument("--format", choices=["csv", "json"])
     report = argparse.ArgumentParser(add_help=False, parents=[fmt])
-    report.add_argument("--no-timestamp", action="store_false", dest="timestamp",
+    report.add_argument("--no-timestamp", action="store_const", const=False, dest="timestamp",
                         help="omit the timestamp for reproducible byte-level diffs")
     sampling = argparse.ArgumentParser(add_help=False, parents=[report])
-    sampling.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    sampling.add_argument("--trials", type=int, default=10**5,
-                          help="Monte Carlo trials (default 100000; 0 skips sampling where allowed)")
-    sampling.add_argument("--lambda-max", type=int, default=LAMBDA_CAP, dest="lambda_max",
-                          help=f"discrete context cap (1..{LAMBDA_CAP}, default {LAMBDA_CAP})")
+    sampling.add_argument("--seed", type=int, help=f"PRNG seed (default {RunConfig.seed})")
+    sampling.add_argument("--trials", type=int, help="Monte Carlo trials (default"
+                          f" {RunConfig.trials}; 0 skips sampling where allowed)")
+    sampling.add_argument("--lambda-max", type=int, dest="lambda_max", help="discrete context"
+                          f" cap (1..{LAMBDA_CAP}, default {RunConfig.lambda_max})")
     level = argparse.ArgumentParser(add_help=False)
-    level.add_argument("--L", type=int, default=40, dest="level",
-                       help="enumeration depth for dyadic sums (1..60, default 40)")
+    level.add_argument("--L", type=int, dest="level", help="enumeration depth for dyadic sums"
+                       f" (1..{SCALE_BITS}, default {RunConfig.level})")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_verify = sub.add_parser("verify", parents=[report, level],
                               help="exact dyadic recovery of target probabilities")
-    p_verify.add_argument("--convention", choices=["lueders", "literal"], default=None,
-                          help="history probability convention (default lueders)")
+    p_verify.add_argument("--convention", choices=["lueders", "literal"], help="history"
+                          f" probability convention (default {RunConfig.convention.value})")
     # not a mutually exclusive group: there a refused flag's value (`--seed 1`)
     # would fill `input` and be reported as a conflict with --p
-    p_verify.add_argument("input_path", metavar="input", nargs="?", default=None,
+    p_verify.add_argument("input_path", metavar="input", nargs="?",
                           help="EDL file ('-' for stdin)")
-    p_verify.add_argument("--p", type=float, default=None, help="bare target probability")
+    p_verify.add_argument("--p", type=float, help="bare target probability")
 
     p_sample = sub.add_parser("sample", parents=[sampling],
                               help="Monte Carlo run of one dichotomic model")
     p_sample.add_argument("--model", choices=["continuous", "greedy", "geometric"],
                           required=True)
-    p_sample.add_argument("--p", type=float, default=None,
+    p_sample.add_argument("--p", type=float,
                           help="target probability (greedy model)")
-    p_sample.add_argument("--t", type=float, default=None,
+    p_sample.add_argument("--t", type=float,
                           help="chord coordinate (continuous/geometric models)")
 
     p_sphere = sub.add_parser("sphere", parents=[sampling, level], help="qubit model cross-check")
@@ -413,8 +412,8 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
         raise HmsimError("--seed must be in [0, 2**64)")
     if config.trials < 0:
         raise HmsimError("--trials must be >= 0")
-    if not 1 <= config.level <= 60:
-        raise HmsimError("--L must be in 1..60")
+    if not 1 <= config.level <= SCALE_BITS:
+        raise HmsimError(f"--L must be in 1..{SCALE_BITS}")
     if not 1 <= config.lambda_max <= LAMBDA_CAP:
         raise HmsimError(f"--lambda-max must be in 1..{LAMBDA_CAP}")
     return config

@@ -49,7 +49,7 @@ from itertools import count
 from typing import Callable, NamedTuple, TypeVar
 
 from .dichotomic import qubit_from_angles
-from .errors import DisjointnessError, HmsimError, NormalizationError, SupportError
+from .errors import DimensionError, DisjointnessError, HmsimError, NormalizationError, SupportError
 from .hilbert import Projector, StateVector, complement_projector, ketbra
 from .histories import HomogeneousHistory, InhomogeneousHistory, TemporalSupport
 
@@ -596,14 +596,12 @@ def elaborate(spec: ExperimentSpec) -> Experiment:
     for pr in spec.projectors.values():
         dim = _resolve(spaces, pr.space, "space", pr.pos)
         if isinstance(pr.body, SpanForm):
-            bad = [i for i in pr.body.indices if not 0 <= i < dim]
-            if bad:
-                raise ElaborationError(
-                    f"span index {bad[0]} outside 0..{dim - 1} in projector {pr.name!r}", *pr.pos
-                )
+            try:
+                proj = Projector.coordinate(dim, pr.body.indices)
+            except DimensionError as exc:
+                raise ElaborationError(f"{exc} in projector {pr.name!r}", *pr.pos) from None
             if len(set(pr.body.indices)) != len(pr.body.indices):
                 raise ElaborationError(f"repeated span index in projector {pr.name!r}", *pr.pos)
-            proj = Projector.coordinate(dim, pr.body.indices)
         elif isinstance(pr.body, KetbraForm):
             ref = pr.body.state
             vec = _resolve(states, ref, "state", pr.pos)

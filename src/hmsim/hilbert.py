@@ -78,11 +78,11 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.norm_sq() - 1.0) <= NORMALIZATION_TOL
 
-    def require_normalized(self, tol: float = NORMALIZATION_TOL) -> None:
-        if not self.is_normalized(tol):
+    def require_normalized(self) -> None:
+        if not self.is_normalized():
             raise NormalizationError(f"state has <v|v> = {self.norm_sq()!r}, expected 1")
 
     def normalized(self) -> tuple["StateVector", float]:
@@ -130,8 +130,10 @@ class Projector:
         """0/1 diagonal projector onto the span of the basis vectors `indices`."""
         if dim < 1:
             raise DimensionError(f"projector dim must be at least 1, got {dim}")
-        m = np.zeros((dim, dim), dtype=np.complex128)
         idx = list(indices)
+        if bad := [i for i in idx if not 0 <= i < dim]:
+            raise DimensionError(f"span index {bad[0]} outside 0..{dim - 1}")
+        m = np.zeros((dim, dim), dtype=np.complex128)
         m[idx, idx] = 1.0
         return cls._trusted(m)
 

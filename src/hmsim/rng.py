@@ -44,17 +44,11 @@ class RandomSource:
                 raise DomainError(f"{name} must be an integer in [0, 2**64), got {v!r}")
         self.seed = seed
         self.stream_id = stream_id
-        self._gen: np.random.Generator | None = None
+        key = np.array([seed, stream_id], dtype=np.uint64)
+        self.generator = np.random.Generator(np.random.Philox(key=key))
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, stream_id={self.stream_id})"
-
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._gen is None:
-            key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
-        return self._gen
 
     def uniform(self) -> float:
         return float(self.generator.random())

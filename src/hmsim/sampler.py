@@ -60,14 +60,6 @@ class FrequencySummary:
     def frequency(self) -> float:
         return self.count_alpha / self.n_trials
 
-    def to_record(self) -> dict:
-        return {
-            "n_trials": self.n_trials,
-            "count_alpha": self.count_alpha,
-            "expected_p": self.expected_p,
-            "z_score": self.z_score,
-        }
-
 
 @dataclass(frozen=True)
 class ExactCheckReport:

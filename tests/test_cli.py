@@ -5,6 +5,9 @@ import io
 import json
 import math
 import random
+import re
+import sys
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -18,11 +21,12 @@ from hmsim.cli import (
     VERIFY_COLUMNS,
     RunConfig,
     _verify_targets,
+    build_parser,
     cmd_verify,
     emit_report,
     main,
 )
-from hmsim.dichotomic import DyadicRule
+from hmsim.dichotomic import LAMBDA_CAP, SCALE_BITS, DyadicRule
 from hmsim.edl import elaborate, parse_text
 from hmsim.errors import NormalizationError
 from hmsim.hilbert import StateVector, born_probability
@@ -509,6 +513,63 @@ def test_help_lists_only_the_flags_read(capsys, sub):
     assert code == 0
     listed = {flag for flag in SHARED_FLAGS if f"{flag} " in out or f"{flag}\n" in out}
     assert listed == set(SUBCOMMAND_FLAGS[sub][1])
+
+
+# sha256 of `hmsim [<subcommand>] --help` at 80 columns. Python 3.13's argparse wraps
+# the usage of `sample` one word later.
+HELP_DIGESTS = {
+    "": "bebadd3ea018778f69f061833990507d2b0656178daa1423bbc254490759d64d",
+    "verify": "c8dcdbab59d53d64ee051d0534548e8483c7101f4ac3b2c0662607865a4f1bd4",
+    "sample": ("95e32d262203f878140607963955fb3c5bc018bb3fc075953fc586953aa924e0"
+               if sys.version_info >= (3, 13) else
+               "38fda706bb980d0b755dee12b9b2c4356c6fc739849e888d2a996a59595dcdda"),
+    "sphere": "1d042233a42951701ff91db4c7f29ade152b87b144bb11abda7ec33a12ec1f99",
+    "history": "dd7c42f3df3813d395a3389d68b0da7efece08fd5d6a4b8f288c4cc1e63551d5",
+    "parse-check": "04e05536ff75970cf4618240ba543c0f0230c48f55facda991c37a7a98cb3ae1",
+}
+
+
+def help_text(capsys, monkeypatch, sub):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *([sub] if sub else []), "--help")
+    assert (code, err) == (0, "")
+    return out
+
+
+@pytest.mark.parametrize("sub", list(HELP_DIGESTS), ids=[s or "hmsim" for s in HELP_DIGESTS])
+def test_help_bytes(capsys, monkeypatch, sub):
+    out = help_text(capsys, monkeypatch, sub)
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[sub]
+
+
+# a flag, then its help up to a parenthesis that names a default; no other flag between
+HELP_DEFAULT_RE = re.compile(r"--([\w-]+)(?:(?!--)[^(])*\(([^)]*\bdefault [^)]*)\)")
+
+
+def test_help_defaults_are_the_run_config_defaults(capsys, monkeypatch):
+    named = {}
+    for sub in SUBCOMMAND_FLAGS:
+        text = " ".join(help_text(capsys, monkeypatch, sub).split())
+        for flag, note in HELP_DEFAULT_RE.findall(text):
+            named.setdefault(flag, set()).add(note)
+    assert set(named) == {"seed", "trials", "lambda-max", "L", "convention"}
+    config = RunConfig("sphere")
+    upper = {"lambda-max": LAMBDA_CAP, "L": SCALE_BITS}
+    for flag, notes in named.items():
+        value = getattr(config, "level" if flag == "L" else flag.replace("-", "_"))
+        for note in notes:
+            assert re.search(r"\bdefault (\w+)", note)[1] == str(getattr(value, "value", value))
+            if flag in upper:
+                assert note.startswith(f"1..{upper[flag]},")
+
+
+@pytest.mark.parametrize("sub", list(SUBCOMMAND_FLAGS))
+def test_an_unset_flag_leaves_the_run_config_default(sub):
+    # argparse holds no default of its own: each one is written once, in RunConfig
+    args = build_parser().parse_args(SUBCOMMAND_FLAGS[sub][0])
+    unset = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)
+             if f.name not in ("subcommand", "input_path")}
+    assert unset == dict.fromkeys(unset)
 
 
 def verify_targets_oracle(config, exp):

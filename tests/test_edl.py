@@ -264,6 +264,23 @@ def test_unresolved_names_keep_their_text_and_position(source, text, line, colum
     assert (err.value.line, err.value.column) == (line, column)
 
 
+SPAN_DIAGNOSTICS = [
+    ("[2]", "line 3 col 8: span index 2 outside 0..1 in projector 'A'"),
+    ("[-1]", "line 3 col 8: span index -1 outside 0..1 in projector 'A'"),
+    ("[0, 0]", "line 3 col 8: repeated span index in projector 'A'"),
+    # the range is checked before repetition
+    ("[0, 0, 5]", "line 3 col 8: span index 5 outside 0..1 in projector 'A'"),
+]
+
+
+@pytest.mark.parametrize("span, text", SPAN_DIAGNOSTICS)
+def test_span_diagnostics_keep_their_text_and_position(span, text):
+    with pytest.raises(ElaborationError) as err:
+        elaborate(parse_text(f"space Q dim 2;\n\n  proj A on Q = span {span};\n"))
+    assert str(err.value) == text
+    assert (err.value.line, err.value.column) == (3, 8)
+
+
 def test_elaborate_dimension_mismatch():
     with pytest.raises(ElaborationError) as err:
         elaborate(parse_text("space Q dim 2;\nstate s in Q = [1, 0, 0];\n"))

@@ -246,6 +246,21 @@ def test_coordinate_refuses_an_empty_space():
         Projector.coordinate(0, [])
 
 
+# each index set is built afresh, so that a generator is unspent; the first index
+# outside 0..dim-1 is named
+@pytest.mark.parametrize("make, bad", [
+    (lambda: [-1], -1),
+    (lambda: [0, 3], 3),
+    (lambda: [1, 7, -2], 7),
+    (lambda: np.array([2, 3, 0]), 3),
+    (lambda: (i for i in [0, -1, 5]), -1),
+], ids=["negative", "dim", "first-of-two", "numpy", "generator"])
+def test_coordinate_refuses_an_index_outside_the_space(make, bad):
+    with pytest.raises(DimensionError) as err:
+        Projector.coordinate(3, make())
+    assert str(err.value) == f"span index {bad} outside 0..2"
+
+
 def born_oracle(amps, proj):
     """_born as written with `@` and float(np.real(np.vdot(...))), before it called
     ndarray.dot and float(np.vdot(...).real)."""
