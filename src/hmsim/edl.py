@@ -49,7 +49,8 @@ from itertools import count
 from typing import Callable, NamedTuple, TypeVar
 
 from .dichotomic import qubit_from_angles
-from .errors import DimensionError, DisjointnessError, HmsimError, NormalizationError, SupportError
+from .errors import (DimensionError, DisjointnessError, DomainError, HmsimError,
+                     NormalizationError, SupportError)
 from .hilbert import Projector, StateVector, complement_projector, ketbra
 from .histories import HomogeneousHistory, InhomogeneousHistory, TemporalSupport
 
@@ -639,21 +640,18 @@ def elaborate(spec: ExperimentSpec) -> Experiment:
     orhistories: dict[str, InhomogeneousHistory] = {}
     for oh in spec.orhistories.values():
         branches = [_resolve(histories, ref, "history", oh.pos) for ref in oh.branches]
-        base = branches[0]
-        for ref, b in zip(oh.branches[1:], branches[1:]):
-            if b.support != base.support or b.factor_dims != base.factor_dims:
-                raise ElaborationError(
-                    f"orhistory {oh.name!r}: branch {ref!r} has a different support"
-                    f" than {oh.branches[0]!r}", *oh.pos
-                )
         try:
             orhistories[oh.name] = InhomogeneousHistory(tuple(branches))
+        except SupportError as exc:
+            first, other = (oh.branches[k] for k in exc.pair)
+            raise ElaborationError(f"orhistory {oh.name!r}: branch {other!r} has a different"
+                                   f" support than {first!r}", *oh.pos) from None
         except DisjointnessError as exc:
-            i, j = exc.pair
-            raise ElaborationError(
-                f"orhistory {oh.name!r}: branches {oh.branches[i]!r} and"
-                f" {oh.branches[j]!r} are not disjoint", *oh.pos
-            ) from None
+            i, j = (oh.branches[k] for k in exc.pair)
+            raise ElaborationError(f"orhistory {oh.name!r}: branches {i!r} and {j!r} are not"
+                                   " disjoint", *oh.pos) from None
+        except DomainError as exc:
+            raise ElaborationError(f"orhistory {oh.name!r}: {exc}", *oh.pos) from None
 
     return Experiment(
         spaces, states, state_spaces, projectors, projector_spaces, histories, orhistories

@@ -29,16 +29,18 @@ class InvariantError(HmsimError, ValueError):
     """Constructed value violates a structural invariant (hermiticity, idempotency, ...)."""
 
 
-class SupportError(HmsimError, ValueError):
-    """Histories do not share the temporal support / slot layout required."""
-
-
-class DisjointnessError(HmsimError, ValueError):
-    """Branches of a disjoint family overlap; `pair` is the first (i, j) found."""
-
+class _FamilyError(HmsimError, ValueError):
     def __init__(self, message: str, pair: tuple[int, int] | None = None):
         super().__init__(message)
         self.pair = pair
+
+
+class SupportError(_FamilyError):
+    """Histories do not share the temporal support / slot layout; `pair` is (0, k) in a family."""
+
+
+class DisjointnessError(_FamilyError):
+    """Branches of a disjoint family overlap; `pair` is the first (i, j) found."""
 
 
 class InfeasibleError(HmsimError, ValueError):

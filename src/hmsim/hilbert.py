@@ -131,6 +131,8 @@ class Projector:
         if dim < 1:
             raise DimensionError(f"projector dim must be at least 1, got {dim}")
         idx = list(indices)
+        if bad := [i for i in idx if isinstance(i, bool) or not isinstance(i, (int, np.integer))]:
+            raise DimensionError(f"span index {bad[0]!r} is not an integer")
         if bad := [i for i in idx if not 0 <= i < dim]:
             raise DimensionError(f"span index {bad[0]} outside 0..{dim - 1}")
         m = np.zeros((dim, dim), dtype=np.complex128)

@@ -60,7 +60,7 @@ class RandomSource:
         return int(self.generator.integers(0, _U64, dtype=np.uint64))
 
     def raw64s(self, n: int) -> np.ndarray:
-        return self.generator.integers(0, _U64, size=int(n), dtype=np.uint64)
+        return self.generator.bit_generator.random_raw(int(n))  # as integers(0, 2**64, uint64)
 
 
 def _bit_length_u64(x: np.ndarray) -> np.ndarray:

@@ -150,6 +150,21 @@ def test_sphere_poles(capsys, theta, expected):
         assert float(row[f"{label}_freq"]) == expected
 
 
+@pytest.mark.parametrize("level", [3, 20])
+def test_sphere_partial_sum_columns_follow_their_rules(capsys, monkeypatch, level):
+    # every Born value sphere computes is 0, 1 or not dyadic, where both rules give one
+    # partial sum; at the dyadic 1/2 the greedy sum is 1/2 and the geometric one is
+    # 1/2 - 2**-L, so the two columns can be told apart
+    monkeypatch.setattr("hmsim.cli.born_probability", lambda state, proj: 0.5)
+    code, out, _ = run_cli(capsys, "sphere", "--theta", str(math.pi / 2.0), "--L", str(level),
+                           "--trials", "0", "--no-timestamp")
+    assert code == 0
+    (row,) = read_csv(out)
+    assert float(row["born_p"]) == 0.5
+    assert float(row["greedy_partial_sum"]) == 0.5
+    assert float(row["geometric_partial_sum"]) == 0.5 - 2.0**-level
+
+
 def test_sphere_domain_error(capsys):
     code, _, err = run_cli(capsys, "sphere", "--theta", "4.0")
     assert code == 2

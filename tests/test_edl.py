@@ -40,6 +40,7 @@ from hmsim.edl import (
     pretty_print,
     tokenize,
 )
+from hmsim.histories import MAX_ORHISTORY_BRANCHES, MAX_ORHISTORY_PRODUCTS
 
 CORPUS = Path(__file__).parent / "edl_corpus"
 
@@ -300,27 +301,36 @@ def test_elaborate_non_disjoint_orhistory():
     assert (err.value.line, err.value.column) == (4, 11)
 
 
-def test_wide_orhistory_elaborates_in_bounded_time(tmp_path):
-    # Timed in a child with single-threaded BLAS: on a shared 2-vCPU host a
-    # threaded 64x64 product can wait ~16 ms for its second thread, which
-    # measures the host, not the algorithm.
-    path = tmp_path / "wide.edl"
-    path.write_text(wide_orhistory_source(disjoint=True))
+def best_of_three_in_child(setup: str, timed: str, path: Path) -> list[str]:
+    """Words printed by a child that runs `setup`, then times `timed` three times:
+    the last value of `timed`, then the best time in seconds.
+
+    Timed in a child with single-threaded BLAS: on a shared 2-vCPU host a threaded
+    64x64 product can wait ~16 ms for its second thread, which measures the host,
+    not the algorithm."""
     child = (
         "import sys, time\n"
-        "from hmsim.edl import elaborate, parse_text\n"
-        "spec = parse_text(open(sys.argv[1]).read())\n"
+        f"{setup}\n"
         "best = float('inf')\n"
         "for _ in range(3):\n"
         "    start = time.perf_counter()\n"
-        "    exp = elaborate(spec)\n"
+        f"    value = {timed}\n"
         "    best = min(best, time.perf_counter() - start)\n"
-        "print(len(exp.orhistories['AB'].branches), best)\n"
+        "print(value, best)\n"
     )
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=str(Path(hmsim.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", child, str(path)], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout.split()
+    return subprocess.run([sys.executable, "-c", child, str(path)], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout.split()
+
+
+def test_wide_orhistory_elaborates_in_bounded_time(tmp_path):
+    path = tmp_path / "wide.edl"
+    path.write_text(wide_orhistory_source(disjoint=True))
+    out = best_of_three_in_child(
+        "from hmsim.edl import elaborate, parse_text\n"
+        "spec = parse_text(open(sys.argv[1]).read())",
+        "len(elaborate(spec).orhistories['AB'].branches)", path)
     assert out[0] == "2"
     assert float(out[1]) < 0.050, out
 
@@ -336,6 +346,100 @@ def test_wide_non_disjoint_orhistory_exits_2_with_position(capsys, tmp_path):
     assert "not disjoint" in err
     assert "line 6 col 11" in err
     assert "Traceback" not in err
+
+
+# a branch whose support, or one of whose slot dims, differs from the first branch's;
+# the texts and positions are those the orhistory loop in elaborate wrote
+LAYOUT_MISMATCHES = [
+    ("space Q dim 2;\nproj P on Q = span [0];\nproj R on Q = not P;\nhistory H = [0: P];\n"
+     "history G = [1: R];\n  orhistory O = or [H, G];\n",
+     "line 6 col 13: orhistory 'O': branch 'G' has a different support than 'H'"),
+    ("space Q dim 2;\nspace T dim 3;\nproj P on Q = span [0];\nproj R on T = span [1];\n"
+     "history H = [0: P, 1: P];\nhistory G = [0: P, 1: R];\norhistory O = or [H, H, G, H];\n",
+     "line 7 col 11: orhistory 'O': branch 'G' has a different support than 'H'"),
+]
+
+
+@pytest.mark.parametrize("source, text", LAYOUT_MISMATCHES, ids=["support", "slot-dim"])
+def test_orhistory_layout_mismatch_keeps_its_text_and_position(capsys, tmp_path, source, text):
+    from hmsim.cli import main
+
+    with pytest.raises(ElaborationError) as err:
+        elaborate(parse_text(source))
+    assert str(err.value) == text
+    path = tmp_path / "layout.edl"
+    path.write_text(source)
+    assert main(["parse-check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
+
+
+ZERO_SPACE = "space Q dim 4;\nproj A on Q = span [0, 1, 2, 3];\nproj Z on Q = not A;\n"
+
+
+def repeated_zero_history(slots: int, branches: int) -> str:
+    """One history of `slots` zero slots, `branches` times in one orhistory: every
+    pair is disjoint, so every pair is checked."""
+    steps = ", ".join(f"{t}: Z" for t in range(slots))
+    return (ZERO_SPACE + f"history H = [{steps}];\n"
+            + "orhistory O = or [" + ", ".join(["H"] * branches) + "];\n")
+
+
+def distinct_zero_histories(distinct: int) -> str:
+    """`distinct` one-slot histories on dim 64, each over its own zero projector, cycled
+    through MAX_ORHISTORY_BRANCHES branches: each ordered pair of them takes a 64x64
+    product of its own, and every branch pair is checked."""
+    lines = ["space Q dim 64;", f"proj A on Q = span [{', '.join(map(str, range(64)))}];"]
+    for h in range(distinct):
+        lines += [f"proj Z{h} on Q = not A;", f"history H{h} = [0: Z{h}];"]
+    branches = (f"H{k % distinct}" for k in range(MAX_ORHISTORY_BRANCHES))
+    return "\n".join([*lines, f"orhistory O = or [{', '.join(branches)}];"]) + "\n"
+
+
+# refused before any product, at the orhistory's name
+WIDTH_REFUSALS = [
+    (repeated_zero_history(3, MAX_ORHISTORY_BRANCHES + 1),
+     "line 5 col 11: orhistory 'O': 1025 branches need up to 3 slot products; at most 1024"
+     " branches and 4096 products are supported"),
+    (distinct_zero_histories(65),
+     "line 133 col 11: orhistory 'O': 1024 branches need up to 4225 slot products; at most"
+     " 1024 branches and 4096 products are supported"),
+]
+
+
+@pytest.mark.parametrize("source, text", WIDTH_REFUSALS, ids=["branches", "products"])
+def test_too_wide_orhistory_is_refused_at_its_position(capsys, tmp_path, source, text):
+    from hmsim.cli import main
+
+    with pytest.raises(ElaborationError) as err:
+        elaborate(parse_text(source))
+    assert str(err.value) == text
+    path = tmp_path / "wide.edl"
+    path.write_text(source)
+    assert main(["parse-check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
+
+
+# 1000 repeats of one 3-slot history, and 64 repeats of one 500-slot history, took
+# about 11 s and 4.5-7.4 s while every pair took its own products; the slowest family
+# the bounds admit is the last, with 64**2 = MAX_ORHISTORY_PRODUCTS fresh 64x64 products
+@pytest.mark.parametrize("source", [
+    repeated_zero_history(3, 1000),
+    repeated_zero_history(500, 64),
+    distinct_zero_histories(64),
+], ids=["1000-repeats", "500-slots", "slowest-admitted"])
+def test_admitted_orhistory_parse_checks_in_under_a_second(tmp_path, source):
+    assert 64**2 == MAX_ORHISTORY_PRODUCTS
+    path = tmp_path / "wide.edl"
+    path.write_text(source)
+    out = best_of_three_in_child(
+        "import contextlib, io\n"
+        "from hmsim.cli import main\n"
+        "def parse_check():\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        return main(['parse-check', sys.argv[1]])",
+        "parse_check()", path)
+    assert out[0] == "0"
+    assert float(out[1]) < 1.0, out
 
 
 def test_elaborate_orhistory_family():

@@ -261,6 +261,29 @@ def test_coordinate_refuses_an_index_outside_the_space(make, bad):
     assert str(err.value) == f"span index {bad} outside 0..2"
 
 
+# a bool or a float would otherwise reach numpy's fancy indexing (a boolean mask, or
+# an IndexError); the first index that is not an integer is named before any range
+@pytest.mark.parametrize("indices, named", [
+    ([True], "True"),
+    ([1.5], "1.5"),
+    ([0, 2.0], "2.0"),
+    ([np.True_], "np.True_"),
+    ([np.float64(1.0)], "np.float64(1.0)"),
+    (["1"], "'1'"),
+    ([7, 0.5], "0.5"),
+], ids=["bool", "float", "integral-float", "numpy-bool", "numpy-float", "str", "before-range"])
+def test_coordinate_refuses_an_index_that_is_not_an_integer(indices, named):
+    with pytest.raises(DimensionError) as err:
+        Projector.coordinate(3, indices)
+    assert str(err.value) == f"span index {named} is not an integer"
+
+
+def test_coordinate_accepts_python_and_numpy_integers():
+    given = [np.int64(0), np.uint8(2), np.int32(1)]
+    assert Projector.coordinate(3, given).matrix.tobytes() == coordinate_oracle(3, [0, 1, 2]).tobytes()
+    assert Projector.coordinate(3, [2]).matrix.tobytes() == coordinate_oracle(3, [2]).tobytes()
+
+
 def born_oracle(amps, proj):
     """_born as written with `@` and float(np.real(np.vdot(...))), before it called
     ndarray.dot and float(np.vdot(...).real)."""

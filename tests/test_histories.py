@@ -1,5 +1,6 @@
 import math
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from hmsim.hilbert import (
 from hmsim.histories import (
     DISJOINT_TOL,
     MAX_DENSE_DIM,
+    MAX_ORHISTORY_BRANCHES,
+    MAX_ORHISTORY_PRODUCTS,
     ZERO_SURVIVAL_TOL,
     Convention,
     HistoryOutcome,
@@ -190,6 +193,141 @@ def test_check_disjoint_family_names_first_overlapping_pair():
     assert err.value.pair == (0, 2)
     with pytest.raises(DisjointnessError, match="at least one"):
         check_disjoint_family([])
+
+
+def family_oracle(branches) -> tuple[HomogeneousHistory, ...]:
+    """check_disjoint_family as written before it shared products: every pair's slot
+    products taken afresh. The layout pair (0, k) is the branch its EDL caller named."""
+    branches = tuple(branches)
+    if not branches:
+        raise DisjointnessError("at least one branch required")
+    for k, b in enumerate(branches[1:], 1):
+        if b.support != branches[0].support:
+            raise SupportError("histories have different temporal supports", pair=(0, k))
+        if b.factor_dims != branches[0].factor_dims:
+            raise SupportError("histories have different slot dimensions", pair=(0, k))
+    for i, j in combinations(range(len(branches)), 2):
+        slots = zip(branches[i].projectors, branches[j].projectors)
+        overlap = math.prod(float(np.max(np.abs(pa.matrix @ pb.matrix))) for pa, pb in slots)
+        if not overlap <= DISJOINT_TOL:
+            raise DisjointnessError(f"branches {i} and {j} are not disjoint", pair=(i, j))
+    return branches
+
+
+def family_outcome(check, branches):
+    try:
+        return "ok", tuple(map(id, check(branches)))
+    except (SupportError, DisjointnessError) as exc:
+        return type(exc), str(exc), exc.pair
+
+
+def tilted_pair(dim: int, overlap: float) -> tuple[Projector, Projector]:
+    """|e0><e0| and |v><v|, v = sin(t) e0 + cos(t) e1, whose product has max entry
+    sin(t) cos(t) = overlap."""
+    t = 0.5 * math.asin(2.0 * overlap)
+    v = np.zeros(dim)
+    v[0], v[1] = math.sin(t), math.cos(t)
+    return Projector.coordinate(dim, [0]), ketbra(StateVector(v))
+
+
+@st.composite
+def projector_families(draw):
+    """Families over a pool of projector objects, some equal in value but distinct
+    as objects: zero, coordinate, ketbra and complement slots, and tilted pairs whose
+    product over one or more slots lies within a millionth of DISJOINT_TOL. Branches
+    are drawn with repeats from a pool of histories, some of them equal copies; a
+    few histories differ from the rest in support or in one slot's dim."""
+    dim = draw(st.integers(2, 4))
+    slots = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool: list[Projector] = []
+    tilted = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["zero", "coordinate", "ketbra", "complement", "tilted",
+                                     "copy"]))
+        if kind == "zero":
+            pool.append(Projector.coordinate(dim, []))
+        elif kind == "coordinate":
+            pool.append(Projector.coordinate(dim, sorted(rng.choice(dim, size=int(
+                rng.integers(1, dim + 1)), replace=False).tolist())))
+        elif kind == "ketbra":
+            pool.append(ketbra(random_state(rng, dim)))
+        elif kind == "tilted":
+            root = draw(st.integers(1, slots))
+            spread = draw(st.floats(-1e-6, 1e-6))
+            pair = tilted_pair(dim, (DISJOINT_TOL * (1.0 + spread)) ** (1.0 / root))
+            pool.extend(pair)
+            tilted.append((pair, root))
+        else:  # a complement of, or an equal but distinct copy of, an earlier slot
+            earlier = pool[draw(st.integers(0, len(pool) - 1))] if pool else Projector.identity(dim)
+            pool.append(complement_projector(earlier) if kind == "complement"
+                        else Projector(earlier.matrix))
+    pick = st.integers(0, len(pool) - 1)
+    times = list(range(slots))
+    # the two sides of a tilted pair in `root` slots, the identity elsewhere
+    histories = [HomogeneousHistory.at_times(times, [p] * root + [Projector.identity(dim)]
+                                             * (slots - root))
+                 for pair, root in tilted for p in pair]
+    for _ in range(draw(st.integers(1, 4))):
+        hist = HomogeneousHistory.at_times(times, [pool[draw(pick)] for _ in range(slots)])
+        layout = draw(st.sampled_from(["same"] * 8 + ["copy", "support", "dims"]))
+        if layout == "copy":
+            histories.append(HomogeneousHistory(hist.support, hist.projectors))
+        elif layout == "support":
+            histories.append(HomogeneousHistory.at_times([t + 0.5 for t in times], hist.projectors))
+        elif layout == "dims":
+            k = draw(st.integers(0, slots - 1))
+            projs = list(hist.projectors)
+            projs[k] = Projector.coordinate(dim + 1, [0])
+            histories.append(HomogeneousHistory(hist.support, tuple(projs)))
+        histories.append(hist)
+    return [histories[draw(st.integers(0, len(histories) - 1))]
+            for _ in range(draw(st.integers(0, 6)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(projector_families())
+def test_check_disjoint_family_decides_as_the_pair_loop(family):
+    assert family_outcome(check_disjoint_family, family) == family_outcome(family_oracle, family)
+
+
+def test_check_disjoint_family_names_the_first_branch_of_another_layout():
+    other_support = HomogeneousHistory.at_times([0.0, 2.0], [P1, P1])
+    other_dims = HomogeneousHistory.at_times([0.0, 1.0], [P1, Projector.coordinate(3, [0])])
+    for family, text, pair in [
+        ([H_00, H_11, other_support, other_dims], "different temporal supports", (0, 2)),
+        ([H_00, H_00, other_dims, other_support], "different slot dimensions", (0, 2)),
+    ]:
+        with pytest.raises(SupportError) as err:
+            check_disjoint_family(family)
+        assert str(err.value) == f"histories have {text}"
+        assert err.value.pair == pair
+
+
+def test_check_disjoint_family_refuses_wide_families_before_any_product():
+    def refused(family, count, products):
+        with pytest.raises(DomainError) as err:
+            check_disjoint_family(family)
+        assert str(err.value) == (f"{count} branches need up to {products} slot products;"
+                                  " at most 1024 branches and 4096 products are supported")
+
+    assert (MAX_ORHISTORY_BRANCHES, MAX_ORHISTORY_PRODUCTS) == (1024, 4096)
+    # the products would fail at pair (0, 1); the width is refused first
+    refused([H_00] * 1025, 1025, 2)
+    # b branches over u distinct objects need at most min(b(b-1)/2, u**2) history pairs
+    # of n slot products each
+    ones = [HomogeneousHistory.at_times([0.0], [P0]) for _ in range(92)]
+    refused([ones[k % 65] for k in range(1024)], 1024, 4225)
+    refused(ones, 92, 4186)
+    for family in [[ones[k % 64] for k in range(1024)], ones[:91]]:
+        with pytest.raises(DisjointnessError) as err:  # admitted, and refused as overlapping
+            check_disjoint_family(family)
+        assert err.value.pair == (0, 1)
+    # one history repeated needs one pair's products, however many branches
+    zero = HomogeneousHistory.at_times(range(4096), [Projector.coordinate(2, [])] * 4096)
+    assert check_disjoint_family([zero] * 1024)[-1] is zero
+    longer = HomogeneousHistory.at_times(range(4097), zero.projectors + zero.projectors[:1])
+    refused([longer] * 2, 2, 4097)
 
 
 def test_dense_operators_refuse_oversized_totals():
