@@ -34,7 +34,6 @@ where projector entries are declaration names from the experiment file.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import json
 import math
@@ -113,10 +112,12 @@ class RunConfig:
     timestamp: bool = True
 
 
-def _csv_column(col) -> tuple[list[str], bool]:
-    """The CSV cells of one column, each distinct cell formatted once, and whether one
-    holds a delimiter, quote or line end. Equal values can print differently (0.0, -0.0;
-    1, 1.0, True): floats are keyed by bits, one other type by value, mixed not at all."""
+def _csv_column(col) -> list[str]:
+    r"""The CSV cells of one column, each distinct cell formatted once. Equal values can
+    print differently (0.0, -0.0; 1, 1.0, True): floats are keyed by bits, one other type
+    by value, mixed not at all. As csv.writer(lineterminator="\n") does, a cell is quoted,
+    its quotes doubled, if its own text holds a comma, quote or newline; a column with no
+    such cell pays only one search of its joined distinct cells."""
     types = set(map(type, col))
     if types == {float}:
         keys = np.array(col).view(np.int64).tolist()
@@ -126,27 +127,24 @@ def _csv_column(col) -> tuple[list[str], bool]:
             else ("true" if v else "false") if isinstance(v, bool) else str(v)
             for k, v in dict(zip(keys, col)).items()}
     distinct = "".join(cell.values())
-    return list(map(cell.__getitem__, keys)), any(c in distinct for c in ',"\r\n')
+    if any(c in distinct for c in ',"\n'):
+        cell = {k: '"' + v.replace('"', '""') + '"' if any(c in v for c in ',"\n') else v
+                for k, v in cell.items()}
+    return list(map(cell.__getitem__, keys))
 
 
 def emit_report(command: str, columns: list[str], rows: list, config: RunConfig, out=None,
                 *, by_column: bool = False) -> None:
-    """Write the report from dict rows, read by column name (a missing column is None),
+    r"""Write the report from dict rows, read by column name (a missing column is None),
     or with `by_column` from one sequence per column, in `columns` order. In CSV, None
-    is an empty cell, a bool is true/false and a float has 17 significant digits."""
+    is an empty cell, a bool is true/false, a float has 17 significant digits, and a cell
+    holding a comma, quote or newline is quoted as csv.writer(lineterminator="\n") does."""
     out = out or sys.stdout
     cols = rows if by_column else [[row.get(c) for row in rows] for c in columns]
     if config.format == "csv":
         if config.timestamp:
             out.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        cells, quoted = zip(*map(_csv_column, cols))
-        # a cell holding a delimiter, quote or line end goes to csv, which quotes it
-        if any(quoted):
-            writer.writerows(zip(*cells))
-        else:
-            out.writelines(line + "\n" for line in map(",".join, zip(*cells)))
+        out.writelines(",".join(row) + "\n" for row in [columns, *zip(*map(_csv_column, cols))])
     else:
         doc: dict = {"command": command}
         if config.timestamp:

@@ -227,9 +227,10 @@ _NAME = _Value("identifier", (TokenKind.IDENT,), rf"[^\W\d]\w*{_W}",
                _name, lambda text: tuple(map(_name, map(str.strip, text.split(_SEP)))), str)
 _INT = _Value("integer", (TokenKind.INT,), rf"-?\d+{_END}",
               int, lambda text: tuple(map(int, text.split(_SEP))), str)
+# an overflowing literal reads as inf, which prints back as the literal 1e999
 _NUMBER = _Value("number", (TokenKind.INT, TokenKind.FLOAT), rf"-?{_NUM}{_END}",
                  float, lambda text: tuple(map(float, text.split(_SEP))),
-                 lambda x: repr(float(x)))
+                 lambda x: repr(float(x)).replace("inf", "1e999"))
 # `complex` reads both parts of `a+bj` as `float` does, so every value keeps its bits
 _AMPLITUDE = _Value("complex number", (TokenKind.INT, TokenKind.FLOAT, TokenKind.COMPLEX),
                     rf"-?{_NUM}(?:[+-]{_NUM}i)?{_END}", lambda s: complex(s.replace("i", "j")),

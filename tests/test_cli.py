@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_experiment_source
@@ -735,3 +735,55 @@ def test_dict_rows_give_the_bytes_of_the_dict_writer(fmt, rows):
     if rows is SIGNED_ZERO_ROWS and fmt == "csv":
         assert got.splitlines()[1:] == ["a,x,0,-0,true,true,1,,,", "b,y,-0,0,1,false,1,,,",
                                         "a,x,0,-0,1,true,2,,,"]
+
+
+# Report cells of every kind the writer formats: None, bools, ints, signed zeros, other
+# floats and text. No `\r`: csv.writer quotes a cell holding one only from Python 3.13
+# on, and no report cell holds one. Rows have at least two cells, since csv.writer
+# quotes a row's lone empty cell, and no report has one column.
+report_cells = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+                | st.sampled_from([0.0, -0.0]) | st.floats()
+                | st.text(max_size=6).map(lambda t: t.replace("\r", ""))
+                | st.sampled_from([",", '"', "\n", 'a "b", c', '""']))
+report_rows = st.integers(2, 5).flatmap(
+    lambda k: st.lists(st.lists(report_cells, min_size=k, max_size=k), max_size=8))
+
+
+def report_shapes(rows):
+    """Column names, dict rows with each None left out, and the same rows by column."""
+    k = len(rows[0]) if rows else 2
+    names = [f"c{i}" for i in range(k)]
+    dict_rows = [{c: v for c, v in zip(names, row) if v is not None} for row in rows]
+    return names, dict_rows, [list(col) for col in zip(*rows)] or [[] for _ in names]
+
+
+@seed(0)
+@settings(max_examples=300, deadline=None)
+@given(report_rows)
+def test_one_writer_gives_the_bytes_of_csv_writer(rows):
+    names, dict_rows, columns = report_shapes(rows)
+    got, expected = report_pair("history", names, dict_rows, dict_rows, "csv")
+    assert got == expected
+    got, _ = report_pair("history", names, columns, dict_rows, "csv", by_column=True)
+    assert got == expected
+
+
+@seed(0)
+@settings(max_examples=100, deadline=None)
+@given(report_rows)
+def test_csv_body_is_the_join_of_the_bodies_of_any_split(rows):
+    # a cell's bytes depend on its own text, so a report written in chunks of rows
+    # gives the bytes of one written whole
+    names, _, columns = report_shapes(rows)
+    config = RunConfig("history", timestamp=False)
+
+    def body(cols):
+        out = io.StringIO()
+        emit_report("history", names, cols, config, out=out, by_column=True)
+        header, _, rest = out.getvalue().partition("\n")
+        assert header == ",".join(names)
+        return rest
+
+    whole = body(columns)
+    for j in range(len(rows) + 1):
+        assert body([c[:j] for c in columns]) + body([c[j:] for c in columns]) == whole

@@ -202,6 +202,21 @@ def test_process_entry_runs_without_the_collector_and_freezes_before_exit():
     assert err.split() == ["0", "False", "True"]
 
 
+def test_the_cli_never_imports_csv():
+    # emit_report quotes each CSV cell itself; a history file makes verify load the EDL
+    # module too
+    child = (
+        "import contextlib, io, sys\n"
+        "import hmsim.cli\n"
+        "imported = 'csv' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = hmsim.cli.main(['verify', sys.argv[1], '--no-timestamp'])\n"
+        "print(imported, code, 'csv' in sys.modules)\n"
+    )
+    corpus = ROOT / "tests" / "edl_corpus" / "valid_11.edl"
+    assert run_child(["-c", child, str(corpus)]).split() == ["False", "0", "False"]
+
+
 def test_console_script_is_the_process_entry():
     scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]")[1]
     assert scripts.split("[")[0].split() == ["hmsim", "=", '"hmsim.cli:run"']
