@@ -267,9 +267,6 @@ def cmd_sphere(config: RunConfig, theta: float) -> int:
 
 
 def cmd_history(config: RunConfig, name: str, state_name: str) -> int:
-    if not config.input_path:
-        print("history: an input file is required", file=sys.stderr)
-        return 2
     spec, exp = _load(config.input_path)
     if state_name not in exp.states:
         print(f"history: unknown state {state_name!r}", file=sys.stderr)
@@ -312,9 +309,6 @@ def cmd_history(config: RunConfig, name: str, state_name: str) -> int:
 
 
 def cmd_parse_check(config: RunConfig) -> int:
-    if not config.input_path:
-        print("parse-check: an input file is required", file=sys.stderr)
-        return 2
     spec, exp = _load(config.input_path)
     if config.format == "json":
         doc = {

@@ -296,16 +296,6 @@ def test_stdin_input(capsys, monkeypatch):
     assert code == 0
 
 
-def test_truncated_input_names_the_end_of_input_once(capsys, monkeypatch):
-    class FakeStdin:
-        buffer = io.BytesIO(b"space Q dim 2")
-
-    monkeypatch.setattr("sys.stdin", FakeStdin())
-    code, out, err = run_cli(capsys, "parse-check", "-")
-    assert (code, out) == (2, "")
-    assert err == "error: line 1 col 14: found end of input (expected ';')\n"
-
-
 # any warning (numpy's overflow RuntimeWarning, for one) escapes main as an
 # exception and fails the test
 @pytest.mark.filterwarnings("error")

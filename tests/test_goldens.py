@@ -208,6 +208,19 @@ def test_runner_names_an_arithmetic_without_digest():
     assert f" matches no known key; {VERSIONS}) (child under " in got
 
 
+def test_runner_names_the_entry_and_environment_of_a_failing_child(tmp_path, monkeypatch):
+    # the child reads a copy of the manifest holding one entry with a wrong stderr
+    entry = next(e for e in ENTRIES if e["id"] == "parse-check-renormalized-notice")
+    [env] = entry["envs"]
+    shutil.copy(__file__, tmp_path / "test_goldens.py")
+    (tmp_path / "goldens.json").write_text(json.dumps(
+        MANIFEST | {"entries": [entry | {"stderr": "warning: not this line\n"}]}))
+    monkeypatch.setitem(globals(), "__file__", str(tmp_path / "test_goldens.py"))
+    assert check_in_child(KEY, env, [entry["id"]]) == [
+        f"parse-check-renormalized-notice: stderr expected 'warning: not this line\\n',"
+        f" got {entry['stderr']!r} (child under {env})"]
+
+
 def main(argv: list[str]) -> int:
     if argv:  # `<key> <id>...`: those entries in process, under the arithmetic `key`
         failures = [] if KEY == argv[0] else [f"arithmetic {KEY}, not {argv[0]}"]
