@@ -112,53 +112,53 @@ class RunConfig:
     timestamp: bool = True
 
 
-def _csv_column(col) -> list[str]:
-    r"""The CSV cells of one column, each distinct cell formatted once. Equal values can
-    print differently (0.0, -0.0; 1, 1.0, True): floats are keyed by bits, one other type
-    by value, mixed not at all. As csv.writer(lineterminator="\n") does, a cell is quoted,
-    its quotes doubled, if its own text holds a comma, quote or newline; a column with no
-    such cell pays only one search of its joined distinct cells."""
+def _column(col, cells) -> list[str]:
+    """The cells of one column, `cells` called once on its distinct values: floats keyed by
+    bits (0.0, -0.0), one other type by value, mixed types (1, 1.0, True) not at all."""
     types = set(map(type, col))
     if types == {float}:
         keys = np.array(col).view(np.int64).tolist()
     else:
         keys = col if len(types) == 1 and not isinstance(col[0], float) else range(len(col))
-    cell = {k: "" if v is None else f"{v:.17g}" if isinstance(v, float)
-            else ("true" if v else "false") if isinstance(v, bool) else str(v)
-            for k, v in dict(zip(keys, col)).items()}
-    distinct = "".join(cell.values())
-    if any(c in distinct for c in ',"\n'):
-        cell = {k: '"' + v.replace('"', '""') + '"' if any(c in v for c in ',"\n') else v
-                for k, v in cell.items()}
-    return list(map(cell.__getitem__, keys))
+    distinct = dict(zip(keys, col))
+    return list(map(dict(zip(distinct, cells([*distinct.values()]))).__getitem__, keys))
 
 
-def emit_report(command: str, columns: list[str], rows: list, config: RunConfig, out=None,
-                *, by_column: bool = False) -> None:
-    r"""Write the report from dict rows, read by column name (a missing column is None),
-    or with `by_column` from one sequence per column, in `columns` order. In CSV, None
-    is an empty cell, a bool is true/false, a float has 17 significant digits, and a cell
-    holding a comma, quote or newline is quoted as csv.writer(lineterminator="\n") does."""
+def _csv_cells(values: list) -> list[str]:
+    r"""None is empty, a bool true/false, a float has 17 significant digits. As
+    csv.writer(lineterminator="\n") does, a cell is quoted, its quotes doubled, if its own
+    text holds a comma, quote or newline; values with no such cell pay one search."""
+    cells = ["" if v is None else f"{v:.17g}" if isinstance(v, float)
+             else ("true" if v else "false") if isinstance(v, bool) else str(v) for v in values]
+    if any(map("".join(cells).__contains__, ',"\n')):
+        cells = ['"' + v.replace('"', '""') + '"' if any(c in v for c in ',"\n') else v
+                 for v in cells]
+    return cells
+
+
+def _json_cells(values: list) -> list[str]:
+    """json.dumps of each scalar value, from one call: ensure_ascii escapes every newline."""
+    return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+
+
+def emit_report(command: str, columns: list[str], rows: list, config: RunConfig, out=None):
+    """Write the cells of `rows`, dicts read by column name (a missing one is None) or one
+    sequence per column, in `columns` order; JSON a row at a time, as json.dump(indent=2)."""
     out = out or sys.stdout
-    cols = rows if by_column else [[row.get(c) for row in rows] for c in columns]
+    if not rows or isinstance(rows[0], dict):
+        rows = [[row.get(c) for row in rows] for c in columns]
+    stamp = datetime.now(timezone.utc).isoformat() if config.timestamp else None
+    body = zip(*(_column(c, _csv_cells if config.format == "csv" else _json_cells) for c in rows))
     if config.format == "csv":
-        if config.timestamp:
-            out.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-        out.writelines(",".join(row) + "\n" for row in [columns, *zip(*map(_csv_column, cols))])
-    else:
-        doc: dict = {"command": command}
-        if config.timestamp:
-            doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-        doc["rows"] = [dict(zip(columns, row)) for row in zip(*cols)]
-        json.dump(doc, out, indent=2)
-        out.write("\n")
-
-
-def _read_input(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
+        out.write(f"# generated {stamp}\n" if stamp else "")
+        out.writelines(",".join(row) + "\n" for row in [columns, *body])
+        return
+    out.write(f'{{\n  "command": {json.dumps(command)},\n'
+              + (f'  "timestamp": "{stamp}",\n' if stamp else "") + '  "rows": [')
+    row = ",".join("\n      " + json.dumps(c).replace("%", "%%") + ": %s" for c in columns)
+    out.writelines(("," if i else "") + "\n    {" + row % cells + "\n    }"
+                   for i, cells in enumerate(body))
+    out.write(("\n  ]" if rows[0] else "]") + "\n}\n")
 
 
 def _load(path: str) -> tuple[ExperimentSpec, Experiment]:
@@ -166,7 +166,12 @@ def _load(path: str) -> tuple[ExperimentSpec, Experiment]:
     # imported here: `sample` and `sphere` never read EDL
     from .edl import elaborate, parse_bytes
 
-    spec = parse_bytes(_read_input(path))
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    spec = parse_bytes(data)
     return spec, elaborate(spec)
 
 
@@ -218,7 +223,7 @@ def cmd_verify(config: RunConfig, target_p: float | None) -> int:
             [DyadicRule.GREEDY.value, DyadicRule.GEOMETRIC.value] * len(targets),
             [p for _, p in targets for _ in range(2)], [config.level] * n,
             partial_sums, abs_errors, oks, [2.0 ** -config.level] * n]
-    emit_report("verify", VERIFY_COLUMNS, cols, config, by_column=True)
+    emit_report("verify", VERIFY_COLUMNS, cols, config)
     return 0 if all(oks) else 1
 
 
@@ -259,8 +264,7 @@ def cmd_sphere(config: RunConfig, theta: float) -> int:
     if config.trials > 0:
         for i, model in enumerate([Model.CONTINUOUS, Model.GREEDY, Model.GEOMETRIC]):
             s, passed = _sampled(config, model, born if model is Model.GREEDY else t, i)
-            row[f"{model.value}_freq"] = s.frequency
-            row[f"{model.value}_z"] = s.z_score
+            row |= {f"{model.value}_freq": s.frequency, f"{model.value}_z": s.z_score}
             ok = ok and passed
     emit_report("sphere", SPHERE_COLUMNS, [row], config)
     return 0 if ok else 1
@@ -282,9 +286,7 @@ def cmd_history(config: RunConfig, name: str, state_name: str) -> int:
         print(f"history: unknown history {name!r}", file=sys.stderr)
         return 2
 
-    rows = []
-    ok = True
-    stream = 0
+    rows, ok, stream = [], True, 0
     for hist, branch in entries:
         row = {"name": name, "branch": branch, "n_trials": config.trials}
         for conv in Convention:
@@ -297,8 +299,7 @@ def cmd_history(config: RunConfig, name: str, state_name: str) -> int:
             # sampled as run_history samples it; a history's probability is at most 1
             s, passed = _sampled(config, Model.GREEDY, _check_branch_sum(row[key]), stream)
             stream += 1
-            row[f"{conv.value}_freq"] = s.frequency
-            row[f"{conv.value}_z"] = s.z_score
+            row |= {f"{conv.value}_freq": s.frequency, f"{conv.value}_z": s.z_score}
             ok = ok and passed
         if hist is not None and row["lueders_p"] > 0.0:
             states = trajectory(state, hist, HistoryOutcome.A)
@@ -324,8 +325,7 @@ def cmd_parse_check(config: RunConfig) -> int:
             "orhistories": [{"name": n, "branches": list(spec.orhistories[n].branches)}
                             for n in exp.orhistories],
         }
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     else:
         print(
             f"ok: {len(exp.spaces)} spaces, {len(exp.states)} states,"

@@ -13,7 +13,7 @@ the uniforms >= t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -71,12 +71,7 @@ class ExactCheckReport:
     tail_mass: float
 
     def to_record(self) -> dict:
-        return {
-            "partial_sum": self.partial_sum,
-            "abs_error": self.abs_error,
-            "bound_satisfied": self.bound_satisfied,
-            "tail_mass": self.tail_mass,
-        }
+        return asdict(self)
 
 
 def summarize(n_trials: int, count_alpha: int, expected_p: float) -> FrequencySummary:

@@ -283,6 +283,10 @@ def test_reports_byte_identical_without_timestamp(capsys):
 def test_timestamp_line_present_by_default(capsys):
     _, out, _ = run_cli(capsys, "verify", "--p", "0.5")
     assert out.startswith("# generated ")
+    _, out, _ = run_cli(capsys, "verify", "--p", "0.5", "--format", "json")
+    doc = json.loads(out)
+    assert list(doc) == ["command", "timestamp", "rows"]
+    assert out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -579,10 +583,10 @@ def emit_report_oracle(command, columns, rows, config, out):
         out.write("\n")
 
 
-def report_pair(command, columns, rows, oracle_rows, fmt, by_column=False):
+def report_pair(command, columns, rows, oracle_rows, fmt):
     config = RunConfig(command, format=fmt, timestamp=False)
     got, expected = io.StringIO(), io.StringIO()
-    emit_report(command, columns, rows, config, out=got, by_column=by_column)
+    emit_report(command, columns, rows, config, out=got)
     emit_report_oracle(command, columns, oracle_rows, config, out=expected)
     return got.getvalue(), expected.getvalue()
 
@@ -627,8 +631,7 @@ def test_columns_give_the_bytes_of_dict_rows(targets, level, fmt):
             dict_rows.append({"target": label, "rule": rule.value, "P": prob, "L": level,
                               **rep.to_record()})
     columns = [list(col) for col in zip(*rows)] or [[] for _ in VERIFY_COLUMNS]
-    got, expected = report_pair("verify", VERIFY_COLUMNS, columns, dict_rows, fmt,
-                                by_column=True)
+    got, expected = report_pair("verify", VERIFY_COLUMNS, columns, dict_rows, fmt)
     assert got == expected
 
 
@@ -659,21 +662,22 @@ def test_dict_rows_give_the_bytes_of_the_dict_writer(fmt, rows):
     got, expected = report_pair("history", HISTORY_COLUMNS, rows, rows, fmt)
     assert got == expected
     columns = [[row.get(c) for row in rows] for c in HISTORY_COLUMNS]
-    got, _ = report_pair("history", HISTORY_COLUMNS, columns, rows, fmt, by_column=True)
+    got, _ = report_pair("history", HISTORY_COLUMNS, columns, rows, fmt)
     assert got == expected
     if rows is SIGNED_ZERO_ROWS and fmt == "csv":
         assert got.splitlines()[1:] == ["a,x,0,-0,true,true,1,,,", "b,y,-0,0,1,false,1,,,",
                                         "a,x,0,-0,1,true,2,,,"]
 
 
-# Report cells of every kind the writer formats: None, bools, ints, signed zeros, other
-# floats and text. No `\r`: csv.writer quotes a cell holding one only from Python 3.13
-# on, and no report cell holds one. Rows have at least two cells, since csv.writer
-# quotes a row's lone empty cell, and no report has one column.
+# Report cells of every kind the writer formats: None, bools, ints beyond 2**64, signed
+# zeros, NaN, infinities, other floats and text, non-ASCII, quotes and backslashes among
+# it. No `\r`: csv.writer quotes a cell holding one only from Python 3.13 on, and no
+# report cell holds one. Rows have at least two cells, since csv.writer quotes a row's
+# lone empty cell, and no report has one column.
 report_cells = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
-                | st.sampled_from([0.0, -0.0]) | st.floats()
+                | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]) | st.floats()
                 | st.text(max_size=6).map(lambda t: t.replace("\r", ""))
-                | st.sampled_from([",", '"', "\n", 'a "b", c', '""']))
+                | st.sampled_from([",", '"', "\n", 'a "b", c', '""', "\\", 'a\\"b', "é€Ω"]))
 report_rows = st.integers(2, 5).flatmap(
     lambda k: st.lists(st.lists(report_cells, min_size=k, max_size=k), max_size=8))
 
@@ -686,14 +690,15 @@ def report_shapes(rows):
     return names, dict_rows, [list(col) for col in zip(*rows)] or [[] for _ in names]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @seed(0)
 @settings(max_examples=300, deadline=None)
-@given(report_rows)
-def test_one_writer_gives_the_bytes_of_csv_writer(rows):
+@given(rows=report_rows)
+def test_one_writer_gives_the_bytes_of_csv_writer_and_json_dump(fmt, rows):
     names, dict_rows, columns = report_shapes(rows)
-    got, expected = report_pair("history", names, dict_rows, dict_rows, "csv")
+    got, expected = report_pair("history", names, dict_rows, dict_rows, fmt)
     assert got == expected
-    got, _ = report_pair("history", names, columns, dict_rows, "csv", by_column=True)
+    got, _ = report_pair("history", names, columns, dict_rows, fmt)
     assert got == expected
 
 
@@ -708,7 +713,7 @@ def test_csv_body_is_the_join_of_the_bodies_of_any_split(rows):
 
     def body(cols):
         out = io.StringIO()
-        emit_report("history", names, cols, config, out=out, by_column=True)
+        emit_report("history", names, cols, config, out=out)
         header, _, rest = out.getvalue().partition("\n")
         assert header == ",".join(names)
         return rest

@@ -31,6 +31,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from functools import cache
 from pathlib import Path
 from unittest import mock
@@ -89,6 +90,26 @@ def input_bytes(kind: str, value, seed=None) -> bytes:
     return (HERE / "edl_corpus" / value).read_bytes() if kind == "corpus" else value.encode()
 
 
+@contextlib.contextmanager
+def interpreter_warnings(err: io.StringIO):
+    """Warnings as a `python` process shows them, written to `err`: the interpreter's
+    default filters, then its -W and PYTHONWARNINGS options. Pytest would otherwise
+    record an in-process warning instead of printing it."""
+    with warnings.catch_warnings():
+        warnings.resetwarnings()
+        for category in (ResourceWarning, ImportWarning, PendingDeprecationWarning,
+                         DeprecationWarning):
+            warnings.simplefilter("ignore", category)
+        warnings.filterwarnings("default", category=DeprecationWarning, module=r"__main__\Z")
+        warnings._processoptions(sys.warnoptions)
+
+        def show(message, category, filename, lineno, file=None, line=None):
+            err.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+        warnings.showwarning = show
+        yield
+
+
 def run(argv: list[str], stdin: bytes, command: list[str] | None,
         env: dict) -> tuple[int, bytes, str]:
     """One run: through `command` in a child under `env`, or without one in process."""
@@ -98,7 +119,8 @@ def run(argv: list[str], stdin: bytes, command: list[str] | None,
         return proc.returncode, proc.stdout, proc.stderr.decode()
     out, err = io.StringIO(), io.StringIO()
     with mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin))), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            interpreter_warnings(err):
         code = cli.main(argv)
     return code, out.getvalue().encode(), err.getvalue()
 

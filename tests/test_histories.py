@@ -821,7 +821,7 @@ def test_chain_calls_give_the_bits_of_the_matmul_loops(case):
                          (Convention.LITERAL, lambda p, a: literal_loop_oracle(
                              p.amplitudes, a.projectors))):
         prob = history_probability(p, hist, conv)
-        # an np.float64 would take _csv_column's mixed-type path and repr differently
+        # an np.float64 would take cli._column's mixed-type path and repr differently
         assert type(prob) is float
         assert prob.hex() == oracle(p, hist).hex()
     chain, survival, annihilated = chain_oracle_pseudo_project(p, hist)
