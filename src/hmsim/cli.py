@@ -121,7 +121,8 @@ def _column(col, cells) -> list[str]:
     else:
         keys = col if len(types) == 1 and not isinstance(col[0], float) else range(len(col))
     distinct = dict(zip(keys, col))
-    return list(map(dict(zip(distinct, cells([*distinct.values()]))).__getitem__, keys))
+    cell = dict(zip(distinct, cells(list(distinct.values()))))
+    return list(map(cell.__getitem__, keys))
 
 
 def _csv_cells(values: list) -> list[str]:
@@ -130,35 +131,43 @@ def _csv_cells(values: list) -> list[str]:
     text holds a comma, quote or newline; values with no such cell pay one search."""
     cells = ["" if v is None else f"{v:.17g}" if isinstance(v, float)
              else ("true" if v else "false") if isinstance(v, bool) else str(v) for v in values]
-    if any(map("".join(cells).__contains__, ',"\n')):
+    joined = "".join(cells)
+    if any(c in joined for c in ',"\n'):
         cells = ['"' + v.replace('"', '""') + '"' if any(c in v for c in ',"\n') else v
                  for v in cells]
     return cells
 
 
-def _json_cells(values: list) -> list[str]:
-    """json.dumps of each scalar value, from one call: ensure_ascii escapes every newline."""
-    return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
-
-
 def emit_report(command: str, columns: list[str], rows: list, config: RunConfig, out=None):
-    """Write the cells of `rows`, dicts read by column name (a missing one is None) or one
-    sequence per column, in `columns` order; JSON a row at a time, as json.dump(indent=2)."""
+    """Write the report from dict rows, read by column name (a missing column is None), or
+    from one sequence per column, in `columns` order. CSV and JSON come from the same
+    per-column cells; JSON is written a row at a time in the bytes of json.dump(indent=2)."""
     out = out or sys.stdout
     if not rows or isinstance(rows[0], dict):
-        rows = [[row.get(c) for row in rows] for c in columns]
+        rows = [[row.get(c) for row in rows] for c in columns]  # one list per column
     stamp = datetime.now(timezone.utc).isoformat() if config.timestamp else None
-    body = zip(*(_column(c, _csv_cells if config.format == "csv" else _json_cells) for c in rows))
+    cells = _csv_cells if config.format == "csv" else lambda values: map(json.dumps, values)
+    body = zip(*(_column(col, cells) for col in rows))
     if config.format == "csv":
-        out.write(f"# generated {stamp}\n" if stamp else "")
+        if stamp:
+            out.write(f"# generated {stamp}\n")
         out.writelines(",".join(row) + "\n" for row in [columns, *body])
         return
-    out.write(f'{{\n  "command": {json.dumps(command)},\n'
-              + (f'  "timestamp": "{stamp}",\n' if stamp else "") + '  "rows": [')
-    row = ",".join("\n      " + json.dumps(c).replace("%", "%%") + ": %s" for c in columns)
-    out.writelines(("," if i else "") + "\n    {" + row % cells + "\n    }"
-                   for i, cells in enumerate(body))
+    out.write(f'{{\n  "command": {json.dumps(command)},\n')
+    if stamp:
+        out.write(f'  "timestamp": {json.dumps(stamp)},\n')
+    out.write('  "rows": [')
+    names = [f"\n      {json.dumps(c)}: " for c in columns]
+    out.writelines(("," if i else "") + "\n    {" + ",".join(map(str.__add__, names, row))
+                   + "\n    }" for i, row in enumerate(body))
     out.write(("\n  ]" if rows[0] else "]") + "\n}\n")
+
+
+def _read_input(path: str) -> bytes:
+    if path == "-":
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _load(path: str) -> tuple[ExperimentSpec, Experiment]:
@@ -166,12 +175,7 @@ def _load(path: str) -> tuple[ExperimentSpec, Experiment]:
     # imported here: `sample` and `sphere` never read EDL
     from .edl import elaborate, parse_bytes
 
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    spec = parse_bytes(data)
+    spec = parse_bytes(_read_input(path))
     return spec, elaborate(spec)
 
 
@@ -264,7 +268,8 @@ def cmd_sphere(config: RunConfig, theta: float) -> int:
     if config.trials > 0:
         for i, model in enumerate([Model.CONTINUOUS, Model.GREEDY, Model.GEOMETRIC]):
             s, passed = _sampled(config, model, born if model is Model.GREEDY else t, i)
-            row |= {f"{model.value}_freq": s.frequency, f"{model.value}_z": s.z_score}
+            row[f"{model.value}_freq"] = s.frequency
+            row[f"{model.value}_z"] = s.z_score
             ok = ok and passed
     emit_report("sphere", SPHERE_COLUMNS, [row], config)
     return 0 if ok else 1
@@ -286,7 +291,9 @@ def cmd_history(config: RunConfig, name: str, state_name: str) -> int:
         print(f"history: unknown history {name!r}", file=sys.stderr)
         return 2
 
-    rows, ok, stream = [], True, 0
+    rows = []
+    ok = True
+    stream = 0
     for hist, branch in entries:
         row = {"name": name, "branch": branch, "n_trials": config.trials}
         for conv in Convention:
@@ -299,7 +306,8 @@ def cmd_history(config: RunConfig, name: str, state_name: str) -> int:
             # sampled as run_history samples it; a history's probability is at most 1
             s, passed = _sampled(config, Model.GREEDY, _check_branch_sum(row[key]), stream)
             stream += 1
-            row |= {f"{conv.value}_freq": s.frequency, f"{conv.value}_z": s.z_score}
+            row[f"{conv.value}_freq"] = s.frequency
+            row[f"{conv.value}_z"] = s.z_score
             ok = ok and passed
         if hist is not None and row["lueders_p"] > 0.0:
             states = trajectory(state, hist, HistoryOutcome.A)

@@ -92,15 +92,18 @@ def input_bytes(kind: str, value, seed=None) -> bytes:
 
 @contextlib.contextmanager
 def interpreter_warnings(err: io.StringIO):
-    """Warnings as a `python` process shows them, written to `err`: the interpreter's
-    default filters, then its -W and PYTHONWARNINGS options. Pytest would otherwise
-    record an in-process warning instead of printing it."""
+    """Warnings as this interpreter's `python` process shows them, written to `err`: the
+    default filters of a release build, then its -W, -X dev and PYTHONWARNINGS options,
+    which all reach sys.warnoptions. A debug build starts with no default filters. Pytest
+    would otherwise record an in-process warning instead of printing it."""
     with warnings.catch_warnings():
         warnings.resetwarnings()
-        for category in (ResourceWarning, ImportWarning, PendingDeprecationWarning,
-                         DeprecationWarning):
-            warnings.simplefilter("ignore", category)
-        warnings.filterwarnings("default", category=DeprecationWarning, module=r"__main__\Z")
+        if not hasattr(sys, "gettotalrefcount"):  # set only in a debug build
+            for category in (ResourceWarning, ImportWarning, PendingDeprecationWarning,
+                             DeprecationWarning):
+                warnings.simplefilter("ignore", category)
+            warnings.filterwarnings("default", category=DeprecationWarning,
+                                    module=r"__main__\Z")
         warnings._processoptions(sys.warnoptions)
 
         def show(message, category, filename, lineno, file=None, line=None):
