@@ -12,6 +12,11 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
+# dichotomic's fixed-point grid (2**-SCALE_BITS) and level cap, defined here so that
+# hmsim.cli builds its parser without loading numpy
+SCALE_BITS = 60
+LAMBDA_CAP = 60  # enumeration cap used by samplers and the CLI
+
 _EXPORTS = {
     "dichotomic": (
         "BlochVector", "DichotomicOutcome", "DiscreteContext", "DyadicRule", "bloch_of_qubit",

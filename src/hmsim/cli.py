@@ -21,12 +21,14 @@ Reports go to stdout as CSV (default) or JSON carrying identical values;
 diagnostics go to stderr. Exit codes: 0 success, 1 a quantitative check
 failed, 2 usage, domain, parse or elaboration error. With a fixed seed the
 output is byte-identical across runs once the timestamp line is disabled
-with --no-timestamp. A `hmsim` or `python -m hmsim.cli` process runs main()
-through run(), with the cyclic collector off and every live object frozen
-before exit, so that no collection walks them (31 -> 8.5 ms of CPU at exit on
-seed-0 verify-edl). Calling main() in process leaves the collector as it is.
+with --no-timestamp. A `hmsim` or `python -m hmsim.cli` process enters through
+run(): --help and the command lines argparse refuses exit before numpy loads;
+an accepted command loads its numerics with the cyclic collector on, then
+runs with it off, and every live object is frozen before exit, so that no
+collection walks them (31 -> 8.5 ms of CPU at exit on seed-0 verify-edl).
+Calling main() in process leaves the collector as it is.
 
-History JSON schema used in reports and parse-check output:
+History JSON schema of parse-check --format json:
   {"name": str, "times": [float, ...], "projectors": [str, ...]}
 where projector entries are declaration names from the experiment file.
 """
@@ -39,49 +41,26 @@ import json
 import math
 import os
 import sys
+from array import array
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
+
+# numpy and the modules that use it are imported by the commands that run on them,
+# so --help and the command lines argparse refuses never load them
+from . import LAMBDA_CAP, SCALE_BITS
+from .errors import HmsimError
+
+if TYPE_CHECKING:
+    from .edl import Experiment, ExperimentSpec
+    from .histories import Convention
+    from .sampler import FrequencySummary, Model
 
 # One OpenBLAS thread unless the user chose a count; this must run before numpy
 # loads. No product here is larger than 64x64, where a second thread saves at
 # most 9 us per zgemm and slows zgemv (5.3 vs 4.1 us at d=64), while after each
 # wake it busy-waits for about 135 ms of CPU (2 vCPUs, scipy-openblas 0.3.31).
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402
-
-from .dichotomic import (  # noqa: E402
-    LAMBDA_CAP,
-    SCALE_BITS,
-    BlochVector,
-    DyadicRule,
-    _exact_checks,
-    bloch_of_qubit,
-    continuous_probability,
-    diagonal_coordinate,
-    qubit_from_angles,
-)
-from .errors import HmsimError  # noqa: E402
-from .hilbert import Projector, _born, born_probability, vector_to_json  # noqa: E402
-from .histories import (  # noqa: E402
-    Convention,
-    HistoryOutcome,
-    _branch_total,
-    _chain_probability,
-    history_probability,
-    trajectory,
-)
-from .rng import RandomSource  # noqa: E402
-from .sampler import (  # noqa: E402
-    FrequencySummary,
-    Model,
-    _check_branch_sum,
-    run_dichotomic,
-)
-
-if TYPE_CHECKING:
-    from .edl import Experiment, ExperimentSpec
 
 Z_THRESHOLD = 4.0
 
@@ -107,7 +86,7 @@ class RunConfig:
     trials: int = 10**5
     lambda_max: int = LAMBDA_CAP
     level: int = 40          # enumeration depth L
-    convention: Convention = Convention.LUEDERS
+    convention: Convention | str = "lueders"  # read as Convention(convention)
     format: str = "csv"
     timestamp: bool = True
 
@@ -117,7 +96,7 @@ def _column(col, cells) -> list[str]:
     bits (0.0, -0.0), one other type by value, mixed types (1, 1.0, True) not at all."""
     types = set(map(type, col))
     if types == {float}:
-        keys = np.array(col).view(np.int64).tolist()
+        keys = array("q", array("d", col).tobytes()).tolist()
     else:
         keys = col if len(types) == 1 and not isinstance(col[0], float) else range(len(col))
     distinct = dict(zip(keys, col))
@@ -192,12 +171,16 @@ def _verify_targets(config: RunConfig, exp: Experiment) -> list[tuple[str, float
     its space, then the probability, under the configured convention, of every
     history and then every orhistory whose slots all have the state's dim. An
     orhistory whose branch probabilities sum beyond 1 is refused."""
+    from .hilbert import _born
+    from .histories import Convention, _branch_total, _chain_probability
+    from .sampler import _check_branch_sum
+
     projectors = _grouped(exp.projector_spaces.items())
     # keyed by the set of slot dims: a history with mixed dims matches no state
     histories = _grouped((n, frozenset(h.factor_dims)) for n, h in exp.histories.items())
     orhistories = _grouped((n, frozenset(o.branches[0].factor_dims))
                            for n, o in exp.orhistories.items())
-    conv = config.convention
+    conv = Convention(config.convention)
     targets: list[tuple[str, float]] = []
     for sname, state in exp.states.items():
         state.require_normalized()  # once: each group holds only declarations of its dim
@@ -216,6 +199,8 @@ def _verify_targets(config: RunConfig, exp: Experiment) -> list[tuple[str, float
 
 
 def cmd_verify(config: RunConfig, target_p: float | None) -> int:
+    from .dichotomic import DyadicRule, _exact_checks
+
     if target_p is not None:
         targets = [("p", float(target_p))]
     else:
@@ -234,6 +219,9 @@ def cmd_verify(config: RunConfig, target_p: float | None) -> int:
 def _sampled(config: RunConfig, model: Model, value: float,
              stream: int) -> tuple[FrequencySummary, bool]:
     """config.trials trials of `model` on stream `stream`, and whether |z| < Z_THRESHOLD."""
+    from .rng import RandomSource
+    from .sampler import run_dichotomic
+
     s = run_dichotomic(model, value, config.trials, RandomSource(config.seed, stream),
                        config.lambda_max)
     return s, abs(s.z_score) < Z_THRESHOLD
@@ -251,6 +239,11 @@ def cmd_sample(config: RunConfig, model: Model, value: float) -> int:
 
 
 def cmd_sphere(config: RunConfig, theta: float) -> int:
+    from .dichotomic import (BlochVector, _exact_checks, bloch_of_qubit, continuous_probability,
+                             diagonal_coordinate, qubit_from_angles)
+    from .hilbert import Projector, born_probability
+    from .sampler import Model
+
     if not 0.0 <= theta <= math.pi:
         raise HmsimError(f"theta={theta!r} outside [0, pi]")
     p = qubit_from_angles(theta)
@@ -276,6 +269,11 @@ def cmd_sphere(config: RunConfig, theta: float) -> int:
 
 
 def cmd_history(config: RunConfig, name: str, state_name: str) -> int:
+    from .hilbert import vector_to_json
+    from .histories import (Convention, HistoryOutcome, _branch_total, history_probability,
+                            trajectory)
+    from .sampler import Model, _check_branch_sum
+
     spec, exp = _load(config.input_path)
     if state_name not in exp.states:
         print(f"history: unknown state {state_name!r}", file=sys.stderr)
@@ -368,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[report, level],
                               help="exact dyadic recovery of target probabilities")
     p_verify.add_argument("--convention", choices=["lueders", "literal"], help="history"
-                          f" probability convention (default {RunConfig.convention.value})")
+                          f" probability convention (default {RunConfig.convention})")
     # not a mutually exclusive group: there a refused flag's value (`--seed 1`)
     # would fill `input` and be reported as a conflict with --p
     p_verify.add_argument("input_path", metavar="input", nargs="?",
@@ -407,7 +405,6 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
     opts = {f.name: value for f in fields(RunConfig)
             if (value := getattr(args, f.name, None)) is not None}
     config = RunConfig(**opts)
-    config.convention = Convention(config.convention)
     if not 0 <= config.seed < 2**64:
         raise HmsimError("--seed must be in [0, 2**64)")
     if config.trials < 0:
@@ -424,6 +421,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    return _command(args)
+
+
+def _command(args: argparse.Namespace) -> int:
+    """The exit code of the command that argparse accepted as `args`."""
     try:
         config = _make_config(args)
         if args.subcommand == "verify":
@@ -437,6 +439,8 @@ def main(argv=None) -> int:
                 return 2
             return cmd_verify(config, args.p)
         if args.subcommand == "sample":
+            from .sampler import Model
+
             model = Model(args.model)
             value, other = (args.p, args.t) if model is Model.GREEDY else (args.t, args.p)
             if value is None or other is not None:
@@ -455,10 +459,15 @@ def main(argv=None) -> int:
 
 
 def run() -> int:
-    """The process entry: main() with the cyclic collector off, then every live object
-    frozen, so that the interpreter's collections at exit skip them."""
+    """The process entry: main() with the collector on until the accepted command's
+    numerics have loaded, so that their import's cyclic garbage is freed, then off while
+    the command runs, then every live object frozen, so that the interpreter's collections
+    at exit skip them. argparse exits on --help and usage errors before numpy loads."""
+    args = build_parser().parse_args()
+    from . import sampler  # noqa: F401  (loads numpy, dichotomic, hilbert and rng)
+
     gc.disable()
-    code = main()
+    code = _command(args)
     gc.freeze()
     return code
 

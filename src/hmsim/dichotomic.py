@@ -39,11 +39,9 @@ from enum import Enum
 
 import numpy as np
 
+from . import SCALE_BITS
 from .errors import DomainError, InvariantError
 from .hilbert import StateVector
-
-SCALE_BITS = 60
-LAMBDA_CAP = 60  # enumeration cap used by samplers and the CLI
 
 
 class DichotomicOutcome(Enum):

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dichotomic import DiscreteContext, LAMBDA_CAP
+from . import LAMBDA_CAP
+from .dichotomic import DiscreteContext
 from .errors import DomainError
 
 GENERATOR_NAME = "philox4x64 (numpy Philox), key = (seed, stream_id)"

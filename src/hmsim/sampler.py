@@ -15,26 +15,18 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dichotomic import (
-    DyadicRule,
-    LAMBDA_CAP,
-    continuous_probability,
-    expand,
-    expand_geometric_t,
-)
+from . import LAMBDA_CAP
+from .dichotomic import DyadicRule, continuous_probability, expand, expand_geometric_t
 from .errors import DomainError
-from .histories import (
-    Convention,
-    HomogeneousHistory,
-    InhomogeneousHistory,
-    history_probability,
-    inhomogeneous_probability,
-)
-from .hilbert import StateVector
 from .rng import RandomSource, _bit_length_u64, _check_lambda_max
+
+if TYPE_CHECKING:
+    from .hilbert import StateVector
+    from .histories import Convention, HomogeneousHistory, InhomogeneousHistory
 
 # Words drawn per block: sampling memory is bounded by this, not by the trial
 # count. 2**14 words keep a block's 128 KiB temporaries in a 2 MiB per-core L2.
@@ -149,6 +141,9 @@ def run_history(
     lambda_max: int = LAMBDA_CAP,
 ) -> FrequencySummary:
     """Sample the deterministic history outcome over drawn context levels."""
+    # imported here: `sample` and `sphere` never read a history
+    from .histories import InhomogeneousHistory, history_probability, inhomogeneous_probability
+
     if isinstance(a, InhomogeneousHistory):
         prob = _check_branch_sum(inhomogeneous_probability(p, a, convention))
     else:

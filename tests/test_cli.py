@@ -16,6 +16,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import random_experiment_source
+from hmsim import LAMBDA_CAP, SCALE_BITS
 from hmsim.cli import (
     HISTORY_COLUMNS,
     VERIFY_COLUMNS,
@@ -26,7 +27,7 @@ from hmsim.cli import (
     emit_report,
     main,
 )
-from hmsim.dichotomic import LAMBDA_CAP, SCALE_BITS, DyadicRule
+from hmsim.dichotomic import DyadicRule
 from hmsim.edl import elaborate, parse_text
 from hmsim.errors import NormalizationError
 from hmsim.hilbert import StateVector, born_probability
@@ -155,7 +156,7 @@ def test_sphere_partial_sum_columns_follow_their_rules(capsys, monkeypatch, leve
     # every Born value sphere computes is 0, 1 or not dyadic, where both rules give one
     # partial sum; at the dyadic 1/2 the greedy sum is 1/2 and the geometric one is
     # 1/2 - 2**-L, so the two columns can be told apart
-    monkeypatch.setattr("hmsim.cli.born_probability", lambda state, proj: 0.5)
+    monkeypatch.setattr("hmsim.hilbert.born_probability", lambda state, proj: 0.5)
     code, out, _ = run_cli(capsys, "sphere", "--theta", str(math.pi / 2.0), "--L", str(level),
                            "--trials", "0", "--no-timestamp")
     assert code == 0
@@ -345,10 +346,9 @@ ORHIST_EDL = (CORPUS / "valid_09.edl").read_text() + \
 
 
 def test_history_computes_each_probability_once(capsys, monkeypatch, tmp_path):
-    # 2 branch rows under 2 conventions; the "*" row sums the branch rows
-    import hmsim.cli
+    # 2 branch rows under 2 conventions; the "*" row sums the branch rows. The CLI and
+    # the sampler import history_probability when they run, so one patch covers them
     import hmsim.histories
-    import hmsim.sampler
 
     real, counted = hmsim.histories.history_probability, []
 
@@ -356,8 +356,7 @@ def test_history_computes_each_probability_once(capsys, monkeypatch, tmp_path):
         counted.append(args)
         return real(*args)
 
-    for module in (hmsim.cli, hmsim.histories, hmsim.sampler):
-        monkeypatch.setattr(module, "history_probability", counting)
+    monkeypatch.setattr(hmsim.histories, "history_probability", counting)
     orhist = tmp_path / "orhist.edl"
     orhist.write_text(ORHIST_EDL)
     code, _, _ = run_cli(capsys, "history", str(orhist), "--name", "AB", "--state", "plus",
@@ -466,7 +465,7 @@ def test_help_lists_only_the_flags_read(capsys, sub):
 # sha256 of `hmsim [<subcommand>] --help` at 80 columns. Python 3.13's argparse wraps
 # the usage of `sample` one word later.
 HELP_DIGESTS = {
-    "": "bebadd3ea018778f69f061833990507d2b0656178daa1423bbc254490759d64d",
+    "": "921097776ca49fe3d22ccd21203f496466ff667ed33df7fd54f09feceb7873fe",
     "verify": "c8dcdbab59d53d64ee051d0534548e8483c7101f4ac3b2c0662607865a4f1bd4",
     "sample": ("95e32d262203f878140607963955fb3c5bc018bb3fc075953fc586953aa924e0"
                if sys.version_info >= (3, 13) else

@@ -93,15 +93,56 @@ def test_bare_import_loads_no_numpy_and_resolves_every_name():
     assert run_child(["-c", child, *SUBMODULES]).split() == [str(len(hmsim.__all__))]
 
 
+# runs a numerics command, which loads numpy, before the lines that follow
+NUMERICS_CHILD = (
+    "import contextlib, io, os, sys\n"
+    "from hmsim.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert main(['verify', '--p', '0.5']) == 0\n"
+    "assert 'numpy' in sys.modules\n"
+)
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
 def test_cli_import_runs_one_blas_thread():
-    child = "import os, hmsim.cli\nprint(len(os.listdir('/proc/self/task')))\n"
+    child = NUMERICS_CHILD + "print(len(os.listdir('/proc/self/task')))\n"
     assert run_child(["-c", child]).split() == ["1"]
 
 
 def test_cli_keeps_a_blas_thread_count_the_user_set():
-    child = "import os, hmsim.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    child = NUMERICS_CHILD + "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
     assert run_child(["-c", child], OPENBLAS_NUM_THREADS="2").split() == ["2"]
+
+
+# the modules a process may hold when cli.run() exits before a command runs: the
+# package itself is the home of the constants the parser prints
+PARSER_MODULES = ["hmsim", "hmsim.cli", "hmsim.errors"]
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    (["--help"], 0, ""),
+    (["sample", "--help"], 0, ""),
+    (["parse-check", str(ROOT / "tests" / "edl_corpus" / "valid_12.edl"), "--seed", "1"], 2,
+     "usage: hmsim [-h] {verify,sample,sphere,history,parse-check} ...\n"
+     "hmsim: error: unrecognized arguments: --seed 1\n"),
+], ids=["help", "sample-help", "usage-error"])
+def test_help_and_usage_errors_load_no_numerics(argv, code, stderr):
+    # the modules are listed by an exit handler, which runs after run() has returned
+    # or argparse has exited
+    child = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print(sorted(m for m in sys.modules if m == 'numpy'\n"
+        "    or m.startswith(('numpy.', 'hmsim')))))\n"
+        "from hmsim import cli\n"
+        "sys.argv = ['hmsim', *sys.argv[1:]]\n"
+        "sys.exit(cli.run())\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(PYTHONPATH=SRC, COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+    assert proc.stdout.splitlines()[-1] == str(PARSER_MODULES)
 
 
 @pytest.mark.parametrize("argv", [
@@ -114,9 +155,9 @@ def test_subcommands_without_edl_do_not_import_it(argv):
         "from hmsim.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
-        "print(code, 'hmsim.edl' in sys.modules)\n"
+        "print(code, 'hmsim.edl' in sys.modules, 'hmsim.histories' in sys.modules)\n"
     )
-    assert run_child(["-c", child, *argv]).split() == ["0", "False"]
+    assert run_child(["-c", child, *argv]).split() == ["0", "False", "False"]
 
 
 def dim64_edl() -> str:
@@ -200,6 +241,24 @@ def test_process_entry_runs_without_the_collector_and_freezes_before_exit():
     err = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stderr
     assert err.split() == ["0", "False", "True"]
+
+
+def test_process_entry_loads_numpy_with_the_collector_on():
+    # the collector then frees the cyclic garbage of numpy's import; it is off once the
+    # command runs, so a collection that saw numpy ran while numpy was loading
+    child = (
+        "import gc, sys\n"
+        "seen = []\n"
+        "gc.callbacks.append(lambda phase, info: seen.append('numpy' in sys.modules))\n"
+        "from hmsim import cli\n"
+        "sys.argv = ['hmsim', 'sample', '--model', 'greedy', '--p', '0.3', '--trials', '10']\n"
+        "code = cli.run()\n"
+        "sys.stderr.write(f'{code} {any(seen)}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    err = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stderr
+    assert err.split() == ["0", "True"]
 
 
 def test_the_cli_never_imports_csv():
