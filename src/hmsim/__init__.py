@@ -2,10 +2,11 @@
 and history propositions, with exact dyadic enumeration and seeded
 Monte Carlo verification.
 
-Names resolve lazily (PEP 562): `import hmsim` loads no submodule and no
-numpy, and `hmsim.<name>` imports the submodule that defines it on first
-access. So `hmsim.cli` can set the process's BLAS defaults before numpy
-loads.
+Names resolve lazily (PEP 562): `import hmsim` loads no submodule and no numpy, and
+`hmsim.<name>` imports the submodule that defines it on first access. `hmsim.cli` and
+`hmsim.sampler` reach the modules they load lazily as `hmsim.<module>.<name>`. So
+`hmsim.cli` sets the process's BLAS defaults before numpy loads, `hmsim --help` loads
+no numpy or `dataclasses`, and `sample` and `sphere` load no `edl` or `histories`.
 """
 
 from importlib import import_module as _import_module

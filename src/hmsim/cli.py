@@ -42,19 +42,14 @@ import math
 import os
 import sys
 from array import array
-from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
-# numpy and the modules that use it are imported by the commands that run on them,
-# so --help and the command lines argparse refuses never load them
+# hmsim.<module> loads on first use: --help loads no numpy, sample and sphere no edl or histories
+import hmsim
+
 from . import LAMBDA_CAP, SCALE_BITS
 from .errors import HmsimError
-
-if TYPE_CHECKING:
-    from .edl import Experiment, ExperimentSpec
-    from .histories import Convention
-    from .sampler import FrequencySummary, Model
 
 # One OpenBLAS thread unless the user chose a count; this must run before numpy
 # loads. No product here is larger than 64x64, where a second thread saves at
@@ -78,15 +73,14 @@ HISTORY_COLUMNS = ["name", "branch", "lueders_p", "literal_p", "n_trials",
                    "trajectory"]
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     subcommand: str
     input_path: str | None = None
     seed: int = 0
     trials: int = 10**5
     lambda_max: int = LAMBDA_CAP
     level: int = 40          # enumeration depth L
-    convention: Convention | str = "lueders"  # read as Convention(convention)
+    convention: hmsim.histories.Convention | str = "lueders"  # read as Convention(convention)
     format: str = "csv"
     timestamp: bool = True
 
@@ -149,13 +143,10 @@ def _read_input(path: str) -> bytes:
         return fh.read()
 
 
-def _load(path: str) -> tuple[ExperimentSpec, Experiment]:
+def _load(path: str) -> tuple[hmsim.edl.ExperimentSpec, hmsim.edl.Experiment]:
     """The parsed and the elaborated EDL file at `path` ('-' for stdin)."""
-    # imported here: `sample` and `sphere` never read EDL
-    from .edl import elaborate, parse_bytes
-
-    spec = parse_bytes(_read_input(path))
-    return spec, elaborate(spec)
+    spec = hmsim.edl.parse_bytes(_read_input(path))
+    return spec, hmsim.edl.elaborate(spec)
 
 
 def _grouped(pairs) -> dict:
@@ -166,68 +157,62 @@ def _grouped(pairs) -> dict:
     return groups
 
 
-def _verify_targets(config: RunConfig, exp: Experiment) -> list[tuple[str, float]]:
+def _verify_targets(config: RunConfig, exp: hmsim.edl.Experiment) -> list[tuple[str, float]]:
     """For each state in declaration order: the Born value of every projector on
     its space, then the probability, under the configured convention, of every
     history and then every orhistory whose slots all have the state's dim. An
     orhistory whose branch probabilities sum beyond 1 is refused."""
-    from .hilbert import _born
-    from .histories import Convention, _branch_total, _chain_probability
-    from .sampler import _check_branch_sum
-
     projectors = _grouped(exp.projector_spaces.items())
     # keyed by the set of slot dims: a history with mixed dims matches no state
     histories = _grouped((n, frozenset(h.factor_dims)) for n, h in exp.histories.items())
     orhistories = _grouped((n, frozenset(o.branches[0].factor_dims))
                            for n, o in exp.orhistories.items())
-    conv = Convention(config.convention)
+    conv = hmsim.histories.Convention(config.convention)
     targets: list[tuple[str, float]] = []
     for sname, state in exp.states.items():
         state.require_normalized()  # once: each group holds only declarations of its dim
         amps, dims = state.amplitudes, frozenset([state.space_dim])
         for pname in projectors.get(exp.state_spaces[sname], []):
-            targets.append((f"{sname}|{pname}", _born(amps, exp.projectors[pname])))
+            targets.append((f"{sname}|{pname}", hmsim.hilbert._born(amps, exp.projectors[pname])))
         for hname in histories.get(dims, []):
-            targets.append((f"{sname}|{hname}",
-                            _chain_probability(amps, exp.histories[hname].projectors, conv)))
+            targets.append((f"{sname}|{hname}", hmsim.histories._chain_probability(
+                amps, exp.histories[hname].projectors, conv)))
         for oname in orhistories.get(dims, []):
             label = f"{sname}|{oname}"
-            prob = _branch_total(_chain_probability(amps, b.projectors, conv)
-                                 for b in exp.orhistories[oname].branches)
-            targets.append((label, _check_branch_sum(prob, f"target {label}: ")))
+            prob = hmsim.histories._branch_total(hmsim.histories._chain_probability(
+                amps, b.projectors, conv) for b in exp.orhistories[oname].branches)
+            targets.append((label, hmsim.sampler._check_branch_sum(prob, f"target {label}: ")))
     return targets
 
 
 def cmd_verify(config: RunConfig, target_p: float | None) -> int:
-    from .dichotomic import DyadicRule, _exact_checks
-
     if target_p is not None:
         targets = [("p", float(target_p))]
     else:
         targets = _verify_targets(config, _load(config.input_path)[1])
-    partial_sums, abs_errors, oks = _exact_checks([p for _, p in targets], config.level)
+    partial_sums, abs_errors, oks = hmsim.dichotomic._exact_checks([p for _, p in targets],
+                                                                   config.level)
     n = len(oks)
     # in VERIFY_COLUMNS order: a greedy, then a geometric row per target
     cols = [[label for label, _ in targets for _ in range(2)],
-            [DyadicRule.GREEDY.value, DyadicRule.GEOMETRIC.value] * len(targets),
+            [hmsim.dichotomic.DyadicRule.GREEDY.value,
+             hmsim.dichotomic.DyadicRule.GEOMETRIC.value] * len(targets),
             [p for _, p in targets for _ in range(2)], [config.level] * n,
             partial_sums, abs_errors, oks, [2.0 ** -config.level] * n]
     emit_report("verify", VERIFY_COLUMNS, cols, config)
     return 0 if all(oks) else 1
 
 
-def _sampled(config: RunConfig, model: Model, value: float,
-             stream: int) -> tuple[FrequencySummary, bool]:
+def _sampled(config: RunConfig, model: hmsim.sampler.Model, value: float,
+             stream: int) -> tuple[hmsim.sampler.FrequencySummary, bool]:
     """config.trials trials of `model` on stream `stream`, and whether |z| < Z_THRESHOLD."""
-    from .rng import RandomSource
-    from .sampler import run_dichotomic
-
-    s = run_dichotomic(model, value, config.trials, RandomSource(config.seed, stream),
-                       config.lambda_max)
+    s = hmsim.sampler.run_dichotomic(model, value, config.trials,
+                                     hmsim.rng.RandomSource(config.seed, stream),
+                                     config.lambda_max)
     return s, abs(s.z_score) < Z_THRESHOLD
 
 
-def cmd_sample(config: RunConfig, model: Model, value: float) -> int:
+def cmd_sample(config: RunConfig, model: hmsim.sampler.Model, value: float) -> int:
     if config.trials < 1:
         print("sample: --trials must be >= 1", file=sys.stderr)
         return 2
@@ -239,19 +224,15 @@ def cmd_sample(config: RunConfig, model: Model, value: float) -> int:
 
 
 def cmd_sphere(config: RunConfig, theta: float) -> int:
-    from .dichotomic import (BlochVector, _exact_checks, bloch_of_qubit, continuous_probability,
-                             diagonal_coordinate, qubit_from_angles)
-    from .hilbert import Projector, born_probability
-    from .sampler import Model
-
     if not 0.0 <= theta <= math.pi:
         raise HmsimError(f"theta={theta!r} outside [0, pi]")
-    p = qubit_from_angles(theta)
-    born = born_probability(p, Projector.coordinate(2, [0]))
-    t = diagonal_coordinate(bloch_of_qubit(p), BlochVector(0.0, 0.0, 1.0))
-    cont = continuous_probability(t)
+    p = hmsim.dichotomic.qubit_from_angles(theta)
+    born = hmsim.hilbert.born_probability(p, hmsim.hilbert.Projector.coordinate(2, [0]))
+    t = hmsim.dichotomic.diagonal_coordinate(hmsim.dichotomic.bloch_of_qubit(p),
+                                             hmsim.dichotomic.BlochVector(0.0, 0.0, 1.0))
+    cont = hmsim.dichotomic.continuous_probability(t)
     # a greedy, then a geometric column entry
-    partial_sums, _, bounds = _exact_checks([born], config.level)
+    partial_sums, _, bounds = hmsim.dichotomic._exact_checks([born], config.level)
     row: dict = {
         "theta": theta, "L": config.level, "born_p": born, "continuous_p": cont,
         "greedy_partial_sum": partial_sums[0], "geometric_partial_sum": partial_sums[1],
@@ -259,8 +240,10 @@ def cmd_sphere(config: RunConfig, theta: float) -> int:
     }
     ok = abs(cont - born) <= 1e-12 and all(bounds)
     if config.trials > 0:
-        for i, model in enumerate([Model.CONTINUOUS, Model.GREEDY, Model.GEOMETRIC]):
-            s, passed = _sampled(config, model, born if model is Model.GREEDY else t, i)
+        for i, model in enumerate([hmsim.sampler.Model.CONTINUOUS, hmsim.sampler.Model.GREEDY,
+                                   hmsim.sampler.Model.GEOMETRIC]):
+            s, passed = _sampled(config, model,
+                                 born if model is hmsim.sampler.Model.GREEDY else t, i)
             row[f"{model.value}_freq"] = s.frequency
             row[f"{model.value}_z"] = s.z_score
             ok = ok and passed
@@ -269,11 +252,6 @@ def cmd_sphere(config: RunConfig, theta: float) -> int:
 
 
 def cmd_history(config: RunConfig, name: str, state_name: str) -> int:
-    from .hilbert import vector_to_json
-    from .histories import (Convention, HistoryOutcome, _branch_total, history_probability,
-                            trajectory)
-    from .sampler import Model, _check_branch_sum
-
     spec, exp = _load(config.input_path)
     if state_name not in exp.states:
         print(f"history: unknown state {state_name!r}", file=sys.stderr)
@@ -294,22 +272,23 @@ def cmd_history(config: RunConfig, name: str, state_name: str) -> int:
     stream = 0
     for hist, branch in entries:
         row = {"name": name, "branch": branch, "n_trials": config.trials}
-        for conv in Convention:
+        for conv in hmsim.histories.Convention:
             key = f"{conv.value}_p"
             # the "*" row sums the branch rows above it, as inhomogeneous_probability does
-            row[key] = (_branch_total(r[key] for r in rows) if hist is None
-                        else history_probability(state, hist, conv))
+            row[key] = (hmsim.histories._branch_total(r[key] for r in rows) if hist is None
+                        else hmsim.histories.history_probability(state, hist, conv))
             if config.trials == 0:
                 continue
             # sampled as run_history samples it; a history's probability is at most 1
-            s, passed = _sampled(config, Model.GREEDY, _check_branch_sum(row[key]), stream)
+            s, passed = _sampled(config, hmsim.sampler.Model.GREEDY,
+                                 hmsim.sampler._check_branch_sum(row[key]), stream)
             stream += 1
             row[f"{conv.value}_freq"] = s.frequency
             row[f"{conv.value}_z"] = s.z_score
             ok = ok and passed
         if hist is not None and row["lueders_p"] > 0.0:
-            states = trajectory(state, hist, HistoryOutcome.A)
-            row["trajectory"] = json.dumps([vector_to_json(v) for v in states])
+            states = hmsim.histories.trajectory(state, hist, hmsim.histories.HistoryOutcome.A)
+            row["trajectory"] = json.dumps([hmsim.hilbert.vector_to_json(v) for v in states])
         rows.append(row)
     emit_report("history", HISTORY_COLUMNS, rows, config)
     return 0 if ok else 1
@@ -346,27 +325,28 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     # Flag groups; each subcommand takes only the groups it reads. No flag has an
     # argparse default: one left unset keeps RunConfig's (_make_config).
+    defaults = RunConfig._field_defaults
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=["csv", "json"])
     report = argparse.ArgumentParser(add_help=False, parents=[fmt])
     report.add_argument("--no-timestamp", action="store_const", const=False, dest="timestamp",
                         help="omit the timestamp for reproducible byte-level diffs")
     sampling = argparse.ArgumentParser(add_help=False, parents=[report])
-    sampling.add_argument("--seed", type=int, help=f"PRNG seed (default {RunConfig.seed})")
+    sampling.add_argument("--seed", type=int, help=f"PRNG seed (default {defaults['seed']})")
     sampling.add_argument("--trials", type=int, help="Monte Carlo trials (default"
-                          f" {RunConfig.trials}; 0 skips sampling where allowed)")
+                          f" {defaults['trials']}; 0 skips sampling where allowed)")
     sampling.add_argument("--lambda-max", type=int, dest="lambda_max", help="discrete context"
-                          f" cap (1..{LAMBDA_CAP}, default {RunConfig.lambda_max})")
+                          f" cap (1..{LAMBDA_CAP}, default {defaults['lambda_max']})")
     level = argparse.ArgumentParser(add_help=False)
     level.add_argument("--L", type=int, dest="level", help="enumeration depth for dyadic sums"
-                       f" (1..{SCALE_BITS}, default {RunConfig.level})")
+                       f" (1..{SCALE_BITS}, default {defaults['level']})")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_verify = sub.add_parser("verify", parents=[report, level],
                               help="exact dyadic recovery of target probabilities")
     p_verify.add_argument("--convention", choices=["lueders", "literal"], help="history"
-                          f" probability convention (default {RunConfig.convention})")
+                          f" probability convention (default {defaults['convention']})")
     # not a mutually exclusive group: there a refused flag's value (`--seed 1`)
     # would fill `input` and be reported as a conflict with --p
     p_verify.add_argument("input_path", metavar="input", nargs="?",
@@ -402,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _make_config(args: argparse.Namespace) -> RunConfig:
     """RunConfig from the flags the subcommand took and were given; the others keep
     their defaults."""
-    opts = {f.name: value for f in fields(RunConfig)
-            if (value := getattr(args, f.name, None)) is not None}
+    opts = {name: value for name in RunConfig._fields
+            if (value := getattr(args, name, None)) is not None}
     config = RunConfig(**opts)
     if not 0 <= config.seed < 2**64:
         raise HmsimError("--seed must be in [0, 2**64)")
@@ -439,10 +419,9 @@ def _command(args: argparse.Namespace) -> int:
                 return 2
             return cmd_verify(config, args.p)
         if args.subcommand == "sample":
-            from .sampler import Model
-
-            model = Model(args.model)
-            value, other = (args.p, args.t) if model is Model.GREEDY else (args.t, args.p)
+            model = hmsim.sampler.Model(args.model)
+            value, other = ((args.p, args.t) if model is hmsim.sampler.Model.GREEDY
+                            else (args.t, args.p))
             if value is None or other is not None:
                 print("sample: provide --p for greedy or --t for continuous/geometric,"
                       " not both", file=sys.stderr)

@@ -15,18 +15,16 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
+
+# histories is reached as hmsim.histories.<name>, loaded on first use, so sample and sphere skip it
+import hmsim
 
 from . import LAMBDA_CAP
 from .dichotomic import DyadicRule, continuous_probability, expand, expand_geometric_t
 from .errors import DomainError
 from .rng import RandomSource, _bit_length_u64, _check_lambda_max
-
-if TYPE_CHECKING:
-    from .hilbert import StateVector
-    from .histories import Convention, HomogeneousHistory, InhomogeneousHistory
 
 # Words drawn per block: sampling memory is bounded by this, not by the trial
 # count. 2**14 words keep a block's 128 KiB temporaries in a 2 MiB per-core L2.
@@ -133,21 +131,18 @@ def _check_branch_sum(prob: float, where: str = "") -> float:
 
 
 def run_history(
-    p: StateVector,
-    a: HomogeneousHistory | InhomogeneousHistory,
-    convention: Convention,
+    p: hmsim.hilbert.StateVector,
+    a: hmsim.histories.HomogeneousHistory | hmsim.histories.InhomogeneousHistory,
+    convention: hmsim.histories.Convention,
     n: int,
     rng: RandomSource,
     lambda_max: int = LAMBDA_CAP,
 ) -> FrequencySummary:
     """Sample the deterministic history outcome over drawn context levels."""
-    # imported here: `sample` and `sphere` never read a history
-    from .histories import InhomogeneousHistory, history_probability, inhomogeneous_probability
-
-    if isinstance(a, InhomogeneousHistory):
-        prob = _check_branch_sum(inhomogeneous_probability(p, a, convention))
+    if isinstance(a, hmsim.histories.InhomogeneousHistory):
+        prob = _check_branch_sum(hmsim.histories.inhomogeneous_probability(p, a, convention))
     else:
-        prob = history_probability(p, a, convention)
+        prob = hmsim.histories.history_probability(p, a, convention)
     return run_dichotomic(Model.GREEDY, prob, n, rng, lambda_max)
 
 

@@ -7,7 +7,6 @@ import math
 import random
 import re
 import sys
-from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -514,8 +513,8 @@ def test_help_defaults_are_the_run_config_defaults(capsys, monkeypatch):
 def test_an_unset_flag_leaves_the_run_config_default(sub):
     # argparse holds no default of its own: each one is written once, in RunConfig
     args = build_parser().parse_args(SUBCOMMAND_FLAGS[sub][0])
-    unset = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)
-             if f.name not in ("subcommand", "input_path")}
+    unset = {name: getattr(args, name, None) for name in RunConfig._fields
+             if name not in ("subcommand", "input_path")}
     assert unset == dict.fromkeys(unset)
 
 

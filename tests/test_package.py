@@ -128,11 +128,11 @@ PARSER_MODULES = ["hmsim", "hmsim.cli", "hmsim.errors"]
 ], ids=["help", "sample-help", "usage-error"])
 def test_help_and_usage_errors_load_no_numerics(argv, code, stderr):
     # the modules are listed by an exit handler, which runs after run() has returned
-    # or argparse has exited
+    # or argparse has exited. RunConfig is a NamedTuple, so dataclasses must be absent too
     child = (
         "import atexit, sys\n"
-        "atexit.register(lambda: print(sorted(m for m in sys.modules if m == 'numpy'\n"
-        "    or m.startswith(('numpy.', 'hmsim')))))\n"
+        "atexit.register(lambda: print(sorted(m for m in sys.modules\n"
+        "    if m in ('numpy', 'dataclasses') or m.startswith(('numpy.', 'hmsim')))))\n"
         "from hmsim import cli\n"
         "sys.argv = ['hmsim', *sys.argv[1:]]\n"
         "sys.exit(cli.run())\n"
