@@ -186,10 +186,6 @@ class DyadicExpansion:
             return DichotomicOutcome.ALPHA
         return DichotomicOutcome.NOT_ALPHA
 
-    def alpha_bools(self) -> np.ndarray:
-        """Boolean table indexed by level-1; used for vectorized sampling."""
-        return np.array([(self.digits >> k) & 1 for k in reversed(range(self.depth))], dtype=bool)
-
     @property
     def partial_sum_numerator(self) -> int:
         """Sum of 2**(bits-i) over the ALPHA levels i."""

@@ -4,9 +4,13 @@ Generator contract: numpy's Philox (philox4x64) counter-based generator,
 period 2**256, keyed by the 128-bit pair (seed, stream_id). Identical
 (seed, stream_id) reproduce the identical draw sequence on every platform;
 distinct stream ids give statistically independent streams. Uniform doubles
-are the standard 53-bit construction (top 53 bits of one 64-bit word), so
-one uniform consumes exactly one raw word. The first ten uniforms of
-(seed=42, stream_id=0) are frozen as a golden vector in the test suite.
+are the standard 53-bit construction, (word >> 11) * 2**-53 for one raw
+64-bit word, so one uniform consumes exactly one raw word. The first ten
+uniforms of (seed=42, stream_id=0) are frozen as a golden vector in the test
+suite. The samplers count raw words only (see hmsim.sampler): u >= t iff
+word >= ceil(t * 2**53) << 11, and a level is ALPHA iff the word's top set bit
+is in the mask P of ALPHA bit positions, i.e. iff (word & P) > (word & ~P),
+as the part holding the top bit is the larger.
 
 Discrete context levels are drawn by scanning the bits of one raw 64-bit
 word most-significant first: each bit is one fair Bernoulli trial and the

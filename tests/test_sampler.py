@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 import hmsim
 from hmsim import sampler
-from hmsim.dichotomic import DichotomicOutcome, DyadicRule, expand
+from hmsim.dichotomic import (
+    DichotomicOutcome,
+    DyadicRule,
+    continuous_probability,
+    expand,
+    expand_geometric_t,
+)
 from hmsim.errors import DomainError
 from hmsim.hilbert import Projector, StateVector
 from hmsim.histories import Convention, HomogeneousHistory, InhomogeneousHistory
@@ -22,7 +28,6 @@ from hmsim.rng import RandomSource, _bit_length_u64
 from hmsim.sampler import (
     BLOCK_WORDS,
     Model,
-    _model_table,
     exact_check,
     run_dichotomic,
     run_history,
@@ -68,13 +73,34 @@ def test_raw64s_gives_the_bounded_integer_words_and_state(n, scalars):
 
 
 def _alpha_flags(model, value, n, rng, lambda_max):
-    """Per-trial oracle of run_dichotomic: (expected_p, contexts, ALPHA flags), one per trial."""
-    expected, table = _model_table(model, value, lambda_max)
+    """Per-trial oracle of run_dichotomic: (expected_p, contexts, ALPHA flags), one per trial.
+
+    The continuous flags are the float rule u >= t on the stream's uniforms; a discrete
+    level is read with the shift loop and looked up level by level in DyadicExpansion.outcome.
+    """
     if model is Model.CONTINUOUS:
         us = rng.uniforms(n)
-        return expected, us, us >= value
+        return continuous_probability(value), us, us >= value
+    if model is Model.GREEDY:
+        expected, exp = value, expand(value, lambda_max, DyadicRule.GREEDY)
+    else:
+        expected, exp = continuous_probability(value), expand_geometric_t(value, lambda_max)
+    table = np.array([exp.outcome(lam) is ALPHA for lam in range(1, lambda_max + 1)])
     lams = np.minimum(65 - _bit_length_shift_loop(rng.raw64s(n)), lambda_max)
     return expected, lams, table[lams - 1]
+
+
+def _philox_uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniform Philox makes from each raw word: its top 53 bits times 2**-53."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_WORDS + 3])
+@pytest.mark.parametrize("seed,stream", [(0, 0), (42, 0), (7, 3), (2**64 - 1, 2**64 - 1)])
+def test_uniforms_are_the_top_53_bits_of_the_raw_words(seed, stream, n):
+    # the continuous sampler compares raw words with a bound derived from this contract
+    words = RandomSource(seed, stream).raw64s(n)
+    assert RandomSource(seed, stream).uniforms(n).tobytes() == _philox_uniforms(words).tobytes()
 
 
 def test_certain_event_counts_everything():
@@ -147,25 +173,30 @@ def test_bit_length_matches_int_and_shift_loop(words):
 
 
 class _ServedWords:
-    """A RandomSource stand-in that serves one fixed array in order, as raw words
-    or as uniforms."""
+    """A RandomSource stand-in that serves one fixed uint64 array in order, as raw
+    words or as the uniforms Philox makes from them."""
 
     def __init__(self, words):
-        self.words, self.pos = words, 0
+        self.words, self.pos = np.asarray(words, dtype=np.uint64), 0
 
     def raw64s(self, n):
         self.pos += n
         return self.words[self.pos - n:self.pos].copy()
 
-    uniforms = raw64s
+    def uniforms(self, n):
+        return _philox_uniforms(self.raw64s(n))
 
 
-# Words whose bit length sits at a branch of _bit_length_u64 or at a float64
-# rounding edge; words below 2**11 reach a branch Philox hits with probability 2**-53.
-EDGE_WORDS = [0, 1, 2**11 - 1, 2**11, 2**11 + 1, 2**53 - 1, 2**53 + 1, 2**63, 2**64 - 1]
+# Every top-bit position: 2**j - 1, 2**j and 2**j + 1 for j in 0..63, then 0 and 2**64 - 1.
+# Words below 2**11 are ones Philox draws with probability 2**-53.
+EDGE_WORDS = [w for j in range(64) for w in (2**j - 1, 2**j, 2**j + 1)] + [0, 2**64 - 1]
 
 
-@pytest.mark.parametrize("lambda_max", [1, 53, 54, 59, 60])
+# For every lambda_max one of greedy 1/3 (the even levels up to 54) and geometric 1/3 (the
+# odd levels up to 53 and every level from 55) marks the cap level ALPHA and the other does
+# not. The cap boundary, bit 64 - lambda_max, is a top bit (63, 62, 60, 59), bit 11 or 10
+# at the edge of a word's top 53 bits, or a low bit (5, 4).
+@pytest.mark.parametrize("lambda_max", [1, 2, 4, 5, 53, 54, 59, 60])
 @pytest.mark.parametrize("model,value", [
     (Model.GREEDY, 1 / 3), (Model.GREEDY, 0.3), (Model.GREEDY, 2.0**-54 + 2.0**-56 + 2.0**-59),
     (Model.GEOMETRIC, 1 / 3), (Model.GEOMETRIC, 0.3),
@@ -180,22 +211,26 @@ def test_edge_words_through_the_sampler_match_the_shift_loop(model, value, lambd
     assert (s.count_alpha, s.expected_p) == (int(flags.sum()), expected)
 
 
-@pytest.mark.parametrize("t", [0.0, 2.0**-60, 0.25, 1 / 3, 0.5, 1.0 - 2.0**-53, 1.0])
+@pytest.mark.parametrize("t", [0.0, 5e-324, 2.0**-60, 2.0**-53, 0.25, 1 / 3, 0.5, 1.0 - 2.0**-53,
+                               1.0])
 def test_continuous_rule_is_closed_at_the_threshold(t):
-    # u == t is ALPHA; its one-ulp neighbours fall on their own sides
-    us = np.tile([np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)], 5)
-    s = run_dichotomic(Model.CONTINUOUS, t, us.size, _ServedWords(us))
-    assert s.count_alpha == sum(u >= t for u in us.tolist())
+    # the word K << 11, whose uniform is the least one >= t, is ALPHA; the word below it
+    # is not, and the word above it is, as the float rule u >= t says
+    k = math.ceil(t * 2**53) << 11
+    words = np.tile(np.array([w for w in (k - 1, k, k + 1) if 0 <= w < 2**64], dtype=np.uint64), 5)
+    s = run_dichotomic(Model.CONTINUOUS, t, words.size, _ServedWords(words))
+    assert s.count_alpha == int(np.count_nonzero(_philox_uniforms(words) >= t))
     if 0.0 < t < 1.0:
         assert s.count_alpha == 10
 
 
-@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@given(st.floats(0.0, 1.0), st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
 def test_continuous_alpha_region_is_an_up_set(t, u, v):
     lo, hi = sorted((u, v))
-    alpha = [run_dichotomic(Model.CONTINUOUS, t, 1, _ServedWords(np.array([x]))).count_alpha
-             for x in (lo, hi)]
+    alpha = [run_dichotomic(Model.CONTINUOUS, t, 1, _ServedWords([w])).count_alpha
+             for w in (lo, hi)]
     assert alpha[0] <= alpha[1]
+    assert alpha == [int(x >= t) for x in _philox_uniforms(np.array([lo, hi], dtype=np.uint64))]
 
 
 def test_counts_do_not_depend_on_the_block_size(monkeypatch):
@@ -215,8 +250,6 @@ class _FirstDraw(Exception):
 class _StopAtFirstDraw:
     def raw64s(self, n):
         raise _FirstDraw
-
-    uniforms = raw64s
 
 
 @pytest.mark.parametrize("model", [Model.GREEDY, Model.CONTINUOUS])
