@@ -31,10 +31,10 @@ every `ParseError`. Both give the same AST, down to positions and signed zeros.
 `span [i, ...]` is the coordinate projector onto the basis vectors with
 those indices: a 0/1 diagonal matrix.
 
-Names are resolved top to bottom, so `ketbra`/`not`/history/orhistory
-references must point at declarations appearing earlier in the file.
-Histories and orhistories share one namespace so that a report can be
-requested by a single name.
+elaborate resolves names by kind, not by line: spaces, states, projectors,
+histories, then orhistories, each kind in file order, raising the first error
+it meets; so only a `not` must name a projector declared above it. Histories
+and orhistories share one namespace, so a report is requested by one name.
 """
 
 from __future__ import annotations

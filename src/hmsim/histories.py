@@ -15,8 +15,8 @@ the slowest family the bounds admit that we know of, 1024 branches cycling
 through 64 one-slot histories, each over its own dim-64 zero projector (4096
 fresh 64x64 products, 523,776 pairs), takes 0.31-0.45 s on one 2-vCPU Xeon
 core with one OpenBLAS thread. Only hpo_projector, hpo_negation and
-disjoint_or build d**n-sized matrices, and they refuse totals above
-MAX_DENSE_DIM.
+disjoint_or build d**n-sized matrices, and PseudoProjection.tensor a d**n-sized
+vector; each refuses totals above MAX_DENSE_DIM before any Kronecker product.
 
 Two probability conventions are provided. LUEDERS renormalizes the state
 after every slot and multiplies the step survival weights, giving the
@@ -146,6 +146,7 @@ class PseudoProjection:
     @property
     def tensor(self) -> StateVector:
         """Tensor product of the chain, built on each access."""
+        _check_dense_dim(q.space_dim for q in self.chain)
         return tensor_vectors(self.chain)
 
 
@@ -192,15 +193,15 @@ def are_disjoint(a: HomogeneousHistory, b: HomogeneousHistory) -> bool:
     return True
 
 
-def _check_dense_dim(a: HomogeneousHistory) -> None:
-    total = math.prod(a.factor_dims)
+def _check_dense_dim(dims) -> None:
+    total = math.prod(dims)
     if total > MAX_DENSE_DIM:
         raise DomainError(f"dense history operator dim {total} exceeds {MAX_DENSE_DIM}")
 
 
 def hpo_projector(a: HomogeneousHistory) -> Projector:
     """Pure-tensor projector of the history's slots."""
-    _check_dense_dim(a)
+    _check_dense_dim(a.factor_dims)
     return tensor_projectors(a.projectors)
 
 
@@ -212,7 +213,7 @@ def hpo_negation(a: HomogeneousHistory) -> Projector:
 def disjoint_or(branches) -> Projector:
     """Sum of the branch tensors of a pairwise-disjoint family."""
     branches = check_disjoint_family(branches)
-    _check_dense_dim(branches[0])
+    _check_dense_dim(branches[0].factor_dims)
     return Projector(sum(tensor_projectors(b.projectors).matrix for b in branches))
 
 
@@ -298,7 +299,9 @@ def inhomogeneous_probability(
     (each branch is its own procedure, so the terms need not be exclusive
     events of a single experiment) and are returned as computed.
     """
-    return _branch_total(history_probability(p, b, convention) for b in h.branches)
+    _require_state_fits(p, h.branches[0])  # every branch has branch 0's slot dims
+    return _branch_total(_chain_probability(p.amplitudes, b.projectors, convention)
+                         for b in h.branches)
 
 
 def _branch_total(probs) -> float:

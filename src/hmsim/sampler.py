@@ -14,8 +14,8 @@ trial costs one integer comparison:
   exactly the bits whose level is ALPHA. A nonzero w's top bit lies in one
   of w & P and w & ~P, which is then the larger, so the trial is ALPHA iff
   (w & P) > (w & ~P); at w = 0 both are 0, so >= when the cap is ALPHA.
-- Continuous model. Philox's uniform is u = (w >> 11) * 2**-53, and t * 2**53
-  is exact for t in [0, 1], so u >= t iff w >= ceil(t * 2**53) << 11.
+- Continuous model. RandomSource.uniforms defines u = (w >> 11) * 2**-53, and
+  t * 2**53 is exact for t in [0, 1], so u >= t iff w >= ceil(t * 2**53) << 11.
 """
 
 from __future__ import annotations

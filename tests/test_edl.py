@@ -460,6 +460,43 @@ def test_admitted_orhistory_parse_checks_in_under_a_second(tmp_path, source):
     assert float(out[1]) < 1.0, out
 
 
+# A long blank run and a long comment run before a syntax error, and unterminated
+# 50k-item lists of each generated list shape, on which a backtracking statement
+# pattern would blow up, are each refused at the token parser's position; a 1 MB
+# valid file is accepted. Each runs in a `parse-check` child given 10 s; on a 2-vCPU
+# Xeon host they took 0.16-0.65 s each.
+BOUNDED_PARSES = {
+    "blank": ("space Q" + " " * 100000 + ";\n",
+              2, "error: line 1 col 100008: found ';' (expected 'dim')\n"),
+    "comments": ("space Q dim 2;\n" + ("#" * 79 + "\n") * 20000 + "state s in Q = [1, 0]\n",
+                 2, "error: line 20002 col 22: found end of input (expected ';')\n"),
+    "amplitudes": ("space Q dim 2;\nstate s in Q = [" + ", ".join(["0.5-0.5i"] * 50000) + "\n",
+                   2, "error: line 2 col 500015: found end of input (expected ']')\n"),
+    "steps": ("space Q dim 2;\nproj P on Q = span [0];\nhistory H = ["
+              + ", ".join(["0.5: P"] * 50000) + "\n",
+              2, "error: line 3 col 400012: found end of input (expected ']')\n"),
+    "branches": ("space Q dim 2;\nproj P on Q = span [0];\nhistory H = [0: P];\n"
+                 "orhistory O = or [" + ", ".join(["H"] * 50000) + "\n",
+                 2, "error: line 4 col 150017: found end of input (expected ']')\n"),
+    "valid": ("".join(
+        f"space S{i} dim 2;\nstate s{i} in S{i} = [0.6, 0-0.8i];  # amplitudes\n"
+        f"proj a{i} on S{i} = span [0];\nproj b{i} on S{i} = not a{i};\n"
+        f"history h{i} = [0: a{i}, 1.5: b{i}];\nhistory g{i} = [0: b{i}, 1.5: b{i}];\n"
+        f"orhistory o{i} = or [h{i}, g{i}];\n" for i in range(4100)), 0, ""),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDED_PARSES)
+def test_parse_check_is_bounded(tmp_path, name):
+    source, code, stderr = BOUNDED_PARSES[name]
+    path = tmp_path / f"{name}.edl"
+    path.write_text(source)
+    env = dict(os.environ, PYTHONPATH=str(Path(hmsim.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "hmsim.cli", "parse-check", str(path)],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+
+
 def test_elaborate_orhistory_family():
     exp = elaborate(parse_text((CORPUS / "valid_09.edl").read_text()))
     assert len(exp.orhistories["AB"].branches) == 2

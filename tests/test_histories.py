@@ -25,6 +25,7 @@ from hmsim.hilbert import (
     ketbra,
     projector_from_span,
     tensor_projectors,
+    tensor_vectors,
 )
 from hmsim.histories import (
     DISJOINT_TOL,
@@ -342,6 +343,12 @@ def test_dense_operators_refuse_oversized_totals():
     with pytest.raises(DomainError):
         disjoint_or([big, other])
     assert are_disjoint(big, other)
+    # the 12 pre-slot states of a 12-slot chain tensor to 4096 amplitudes; 11 to 2048
+    with pytest.raises(DomainError, match="dim 4096 exceeds 2048"):
+        pseudo_project(PLUS, big).tensor
+    pp = pseudo_project(PLUS, HomogeneousHistory.at_times(range(11), [P0] * 11))
+    assert pp.tensor.amplitudes.tobytes() == tensor_vectors(pp.chain).amplitudes.tobytes()
+    assert pp.tensor.space_dim == MAX_DENSE_DIM
 
 
 def test_disjoint_or_examples():
@@ -506,6 +513,15 @@ def test_inhomogeneous_probability_examples():
     assert inhomogeneous_probability(PLUS, fam1, Convention.LUEDERS) == pytest.approx(1.0)
     with pytest.raises(DisjointnessError):
         InhomogeneousHistory((H_00, H_00))
+
+
+def test_inhomogeneous_probability_checks_the_state_against_the_layout():
+    fam = InhomogeneousHistory((H_00, H_11))
+    with pytest.raises(DimensionError, match=r"^slot 0 has dim 2, state has dim 3$"):
+        inhomogeneous_probability(StateVector.basis(3, 0), fam)
+    for convention in Convention:  # the same bits as the branches summed one by one
+        assert inhomogeneous_probability(PLUS, fam, convention) == sum(
+            history_probability(PLUS, b, convention) for b in fam.branches)
 
 
 def test_inhomogeneous_sum_snaps_float_overshoot():

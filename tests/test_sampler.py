@@ -56,20 +56,22 @@ def _bit_length_shift_loop(x: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("n", [1, 3, 4, 2**14, 2**14 + 7])
 @pytest.mark.parametrize("scalars", [0, 1, 3])
 def test_raw64s_gives_the_bounded_integer_words_and_state(n, scalars):
-    # raw64s reads the bit generator's words directly; Generator.integers(0, 2**64,
-    # dtype=uint64), which it replaced, is the oracle: the same words, the same
-    # generator state after, and the same words drawn next, also after an odd number
-    # of scalar raw64() draws
-    ours, oracle = RandomSource(7, 3), RandomSource(7, 3)
+    # RandomSource reads every draw from Philox's raw words; numpy's Generator over the
+    # same key is the oracle: Generator.integers(0, 2**64, dtype=uint64) gives the same
+    # words, also after an odd number of scalar raw64() draws, the bit generator's state
+    # after them is the same, and Generator.random gives the same next uniforms
+    ours = RandomSource(7, 3)
+    oracle = np.random.Generator(np.random.Philox(key=[7, 3]))
     for _ in range(scalars):
-        assert ours.raw64() == oracle.raw64()
+        assert ours.raw64() == int(oracle.integers(0, 2**64, dtype=np.uint64))
     words = ours.raw64s(n)
-    expected = oracle.generator.integers(0, 2**64, size=n, dtype=np.uint64)
+    expected = oracle.integers(0, 2**64, size=n, dtype=np.uint64)
     assert (words.dtype, words.shape) == (expected.dtype, expected.shape)
     assert words.tobytes() == expected.tobytes()
-    assert repr(ours.generator.bit_generator.state) == repr(oracle.generator.bit_generator.state)
-    assert ours.raw64() == oracle.raw64()
-    assert ours.uniform() == oracle.uniform()
+    assert repr(ours.bit_generator.state) == repr(oracle.bit_generator.state)
+    assert ours.raw64() == int(oracle.integers(0, 2**64, dtype=np.uint64))
+    assert ours.uniform() == oracle.random()
+    assert ours.uniforms(n).tobytes() == oracle.random(n).tobytes()
 
 
 def _alpha_flags(model, value, n, rng, lambda_max):
