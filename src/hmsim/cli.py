@@ -21,12 +21,7 @@ Reports go to stdout as CSV (default) or JSON carrying identical values;
 diagnostics go to stderr. Exit codes: 0 success, 1 a quantitative check
 failed, 2 usage, domain, parse or elaboration error. With a fixed seed the
 output is byte-identical across runs once the timestamp line is disabled
-with --no-timestamp. A `hmsim` or `python -m hmsim.cli` process enters through
-run(): --help and the command lines argparse refuses exit before numpy loads;
-an accepted command loads its numerics with the cyclic collector on, then
-runs with it off, and every live object is frozen before exit, so that no
-collection walks them (31 -> 8.5 ms of CPU at exit on seed-0 verify-edl).
-Calling main() in process leaves the collector as it is.
+with --no-timestamp.
 
 History JSON schema of parse-check --format json:
   {"name": str, "times": [float, ...], "projectors": [str, ...]}

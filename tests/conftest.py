@@ -18,6 +18,13 @@ def random_unitary(rng: np.random.Generator, dim: int) -> UnitaryMap:
     return UnitaryMap(q)
 
 
+def refusal(call) -> tuple[type, str]:
+    """The type and the message of the exception that `call()` raises."""
+    with pytest.raises(Exception) as err:
+        call()
+    return err.type, str(err.value)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260810)

@@ -461,10 +461,9 @@ def test_help_lists_only_the_flags_read(capsys, sub):
     assert listed == set(SUBCOMMAND_FLAGS[sub][1])
 
 
-# sha256 of `hmsim [<subcommand>] --help` at 80 columns. Python 3.13's argparse wraps
-# the usage of `sample` one word later.
+# sha256 of `hmsim <subcommand> --help` at 80 columns (the `help` entry of goldens.json
+# pins `hmsim --help`). Python 3.13's argparse wraps the usage of `sample` one word later.
 HELP_DIGESTS = {
-    "": "921097776ca49fe3d22ccd21203f496466ff667ed33df7fd54f09feceb7873fe",
     "verify": "c8dcdbab59d53d64ee051d0534548e8483c7101f4ac3b2c0662607865a4f1bd4",
     "sample": ("95e32d262203f878140607963955fb3c5bc018bb3fc075953fc586953aa924e0"
                if sys.version_info >= (3, 13) else
@@ -477,12 +476,12 @@ HELP_DIGESTS = {
 
 def help_text(capsys, monkeypatch, sub):
     monkeypatch.setenv("COLUMNS", "80")
-    code, out, err = run_cli(capsys, *([sub] if sub else []), "--help")
+    code, out, err = run_cli(capsys, sub, "--help")
     assert (code, err) == (0, "")
     return out
 
 
-@pytest.mark.parametrize("sub", list(HELP_DIGESTS), ids=[s or "hmsim" for s in HELP_DIGESTS])
+@pytest.mark.parametrize("sub", list(HELP_DIGESTS))
 def test_help_bytes(capsys, monkeypatch, sub):
     out = help_text(capsys, monkeypatch, sub)
     assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[sub]

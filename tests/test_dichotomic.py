@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_state
+from conftest import random_state, refusal
 from hmsim.dichotomic import (
     BlochVector,
     DichotomicOutcome,
@@ -304,6 +304,16 @@ def test_column_checks_refuse_the_first_target_outside_the_unit_interval():
         with pytest.raises(DomainError) as err:  # as the scalar check refuses it
             scalar_checks(probs, 60)
         assert str(err.value) == message
+
+
+# a string where an enum is expected is refused, not read as the member of that value
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: bloch_of_qubit(StateVector.basis(3, 0)), DomainError, "expected a qubit, got dim 3"),
+    (lambda: expand(0.5, 4).outcome(5), DomainError, "level 5 outside expansion depth 4"),
+    (lambda: expand(0.5, 4, "greedy"), DomainError, "unknown rule 'greedy'"),
+], ids=["bloch-of-a-qutrit", "level-beyond-depth", "rule-by-value"])
+def test_refusals(call, error, message):
+    assert refusal(call) == (error, message)
 
 
 def test_discrete_context_weights_exact():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULI_X, random_state, random_unitary
+from conftest import PAULI_X, random_state, random_unitary, refusal
 from hmsim.errors import (
     DegenerateSpanError,
     DimensionError,
@@ -195,6 +195,25 @@ def test_projector_invariants_enforced():
         Projector([[0.5, 0.0], [0.0, 0.5]])  # Hermitian but not idempotent
     with pytest.raises(InvariantError):
         UnitaryMap([[1.0, 0.0], [0.0, 2.0]])
+
+
+# a trusted matrix that is not a projector shows where the checks it skips would refuse
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Projector([[1.0, 0.0]]), DimensionError,
+     "projector must be a nonempty square matrix, got shape (1, 2)"),
+    (lambda: StateVector(np.ones((1, 1))), DimensionError,
+     "amplitudes must be a nonempty 1-D vector, got shape (1, 1)"),
+    (lambda: StateVector.basis(2, 2), DimensionError, "basis index 2 outside dim 2"),
+    (lambda: Projector._trusted(np.diag([0.5, 0.0]).astype(complex)).rank, InvariantError,
+     "projector trace 0.5 is not close to an integer"),
+    (lambda: projector_from_span([E0, StateVector.of([0.0, 0.0])]), DegenerateSpanError,
+     "zero vector in spanning set"),
+    (lambda: born_probability(E0, Projector._trusted(np.diag([2.0, 0.0]).astype(complex))),
+     InvariantError, "probability 4.0 outside [0,1] beyond tolerance"),
+], ids=["not-square", "not-1d", "basis-index", "trace-not-integral", "zero-span-vector",
+        "probability-above-1"])
+def test_refusals(call, error, message):
+    assert refusal(call) == (error, message)
 
 
 def test_projector_rank_from_trace():

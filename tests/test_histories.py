@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULI_X, random_state, random_unitary
+from conftest import PAULI_X, random_state, random_unitary, refusal
 from hmsim.dichotomic import DichotomicOutcome, dyadic_outcome
 from hmsim.errors import (
     DimensionError,
@@ -422,6 +422,16 @@ def test_pseudo_project_builds_no_product_space_vector():
     pp = pseudo_project(StateVector.basis(64, 0), hist)
     assert len(pp.chain) == 8
     assert pp.survival == pytest.approx((1.0,) * 7)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: HomogeneousHistory(TemporalSupport((0.0, 1.0)), (P0,)), DimensionError,
+     "1 projectors for 2 time points"),
+    (lambda: history_probability(E0, H_00, "lueders"), DomainError,
+     "unknown convention 'lueders'"),
+], ids=["projector-count", "convention-by-value"])
+def test_refusals(call, error, message):
+    assert refusal(call) == (error, message)
 
 
 def test_pseudo_project_requires_normalized_state():

@@ -1,12 +1,12 @@
+import ast
 import contextlib
 import gc
+import importlib
 import io
 import os
 import pkgutil
 import subprocess
 import sys
-import tokenize
-import types
 from pathlib import Path
 
 import pytest
@@ -15,14 +15,16 @@ import hmsim
 
 SRC = str(Path(hmsim.__file__).parents[1])
 ROOT = Path(__file__).parents[1]
-# where an export may be called: the program, the benchmark replay, the paper
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(hmsim.__path__))
+MODULE_FILES = [ROOT / "src" / "hmsim" / f"{name}.py" for name in SUBMODULES]
+# where a public name may be called: the program, the benchmark replay, the paper
 # criteria and the frozen RNG tests
 CALLER_FILES = [
-    *(p for p in sorted((ROOT / "src" / "hmsim").glob("*.py")) if p.name != "__init__.py"),
+    *MODULE_FILES,
     *sorted((ROOT / "bench").glob("*.py")),
     *(ROOT / "tests" / name for name in ("test_acceptance.py", "conftest.py", "test_rng.py")),
 ]
-SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(hmsim.__path__))
+CONSTANTS = ["LAMBDA_CAP", "SCALE_BITS"]
 # OpenBLAS reads its thread count from the first of these that is set
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -36,61 +38,88 @@ def run_child(argv: list[str], **env: str) -> str:
                           text=True, check=True, timeout=120).stdout
 
 
-def test_all_names_resolve_and_none_is_a_module():
-    assert hmsim.__all__
-    for name in hmsim.__all__:
-        assert not isinstance(getattr(hmsim, name), types.ModuleType), name
+def public(names) -> list[str]:
+    return sorted(name for name in names if not name.startswith("_"))
 
 
-def test_deleted_names_are_not_exported():
-    # none had a caller but its own tests: expand(...).outcome(lam) gives each level,
-    # run_history samples dyadic_outcome(history_probability(...)) and run_dichotomic
-    # applies the continuous u >= t rule; the Lueders chain applies each slot's
-    # matrix to its amplitude array, as apply_projector did
-    for name in ("lambda_preimage", "continuous_outcome", "downset_contains",
-                 "history_hms_outcome", "inner_product", "apply_projector"):
-        assert name not in hmsim.__all__
+def test_the_package_binds_only_its_submodules_and_constants():
+    assert sorted(hmsim._SUBMODULES) == SUBMODULES
+    assert set(public(vars(hmsim))) <= {*SUBMODULES, *CONSTANTS}
+    assert public(dir(hmsim)) == sorted([*SUBMODULES, *CONSTANTS])
+    for name in SUBMODULES:
+        assert hmsim.__getattr__(name) is importlib.import_module(f"hmsim.{name}")
+    # each name lives in its submodule alone
+    for name in ("__all__", "Projector", "born_probability", "RandomSource", "no_such_name"):
         with pytest.raises(AttributeError):
             getattr(hmsim, name)
 
 
-def code_names(path: Path) -> set[str]:
-    """Identifiers in the code of `path`, leaving out strings, comments and the
-    name a def or class line defines."""
-    names, prev = set(), None
-    with path.open("rb") as fh:
-        for tok in tokenize.tokenize(fh.readline):
-            if tok.type == tokenize.NAME and prev not in ("def", "class"):
-                names.add(tok.string)
-            prev = tok.string
-    return names
-
-
-def test_every_export_has_a_caller():
-    called = set().union(*map(code_names, CALLER_FILES))
-    assert sorted(set(hmsim.__all__) - called) == []
-    assert len(hmsim.__all__) == 55
-
-
-def test_bare_import_loads_no_numpy_and_resolves_every_name():
+def test_bare_import_loads_no_numpy_and_resolves_each_submodule_lazily():
     child = (
-        "import importlib, sys, types\n"
+        "import importlib, sys\n"
         "import hmsim\n"
         "assert 'numpy' not in sys.modules\n"
         "assert not any(m.startswith('hmsim.') for m in sys.modules), sorted(sys.modules)\n"
-        "assert isinstance(hmsim.hilbert, types.ModuleType)\n"  # before anything imports it
+        "star = {}\n"
+        "exec('from hmsim import *', star)\n"
+        "print(*sorted(set(star) - {'__builtins__'}))\n"
         "for name in sys.argv[1:]:\n"
         "    assert getattr(hmsim, name) is importlib.import_module('hmsim.' + name), name\n"
-        "for name in hmsim.__all__:\n"
-        "    value = getattr(hmsim, name)\n"
-        "    assert getattr(sys.modules[value.__module__], name) is value, name\n"
-        "assert set(hmsim.__all__) | set(sys.argv[1:]) <= set(dir(hmsim))\n"
+        "print(*sorted(name for name in vars(hmsim) if not name.startswith('_')))\n"
         "try:\n"
-        "    hmsim.no_such_name\n"
-        "except AttributeError:\n"
-        "    print(len(hmsim.__all__))\n"
+        "    hmsim.Projector\n"
+        "except AttributeError as err:\n"
+        "    print(err)\n"
     )
-    assert run_child(["-c", child, *SUBMODULES]).split() == [str(len(hmsim.__all__))]
+    assert run_child(["-c", child, *SUBMODULES]).splitlines() == [
+        " ".join(CONSTANTS), " ".join(sorted([*SUBMODULES, *CONSTANTS])),
+        "module 'hmsim' has no attribute 'Projector'"]
+
+
+def test_deleted_names_are_absent_from_every_submodule():
+    # none had a caller but its own tests: expand(...).outcome(lam) gives each level,
+    # run_history samples dyadic_outcome(history_probability(...)) and run_dichotomic
+    # applies the continuous u >= t rule; the Lueders chain applies each slot's
+    # matrix to its amplitude array, as apply_projector did
+    deleted = ("lambda_preimage", "continuous_outcome", "downset_contains",
+               "history_hms_outcome", "inner_product", "apply_projector")
+    for name in SUBMODULES:
+        module = importlib.import_module(f"hmsim.{name}")
+        assert [n for n in deleted if hasattr(module, n)] == [], name
+
+
+def public_definitions(path: Path) -> list[str]:
+    """The public names that the top-level statements of `path` define: its defs,
+    classes and assignments, not the names it imports."""
+    names = []
+    for node in ast.parse(path.read_bytes()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return public(names)
+
+
+def code_uses(path: Path) -> set[str]:
+    """The names and attributes that the code of `path` reads. A definition or an
+    assignment stores its name rather than reading it; strings and comments hold none."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_bytes()))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def uncalled(caller_files: list[Path]) -> list[str]:
+    """`<module>.<name>` of each public name of a submodule that no caller file reads."""
+    called = set().union(*map(code_uses, caller_files))
+    return [f"{path.stem}.{name}" for path in MODULE_FILES
+            for name in public_definitions(path) if name not in called]
+
+
+def test_every_public_name_has_a_caller():
+    assert uncalled(CALLER_FILES) == []
+    assert sum(len(public_definitions(path)) for path in MODULE_FILES) == 115
 
 
 # runs a numerics command, which loads numpy, before the lines that follow

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmsim
+from conftest import refusal
 from hmsim import sampler
 from hmsim.dichotomic import (
     DichotomicOutcome,
@@ -101,7 +102,9 @@ def _philox_uniforms(words: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("seed,stream", [(0, 0), (42, 0), (7, 3), (2**64 - 1, 2**64 - 1)])
 def test_uniforms_are_the_top_53_bits_of_the_raw_words(seed, stream, n):
     # the continuous sampler compares raw words with a bound derived from this contract
-    words = RandomSource(seed, stream).raw64s(n)
+    source = RandomSource(seed, stream)
+    assert repr(source) == f"RandomSource(seed={seed}, stream_id={stream})"
+    words = source.raw64s(n)
     assert RandomSource(seed, stream).uniforms(n).tobytes() == _philox_uniforms(words).tobytes()
 
 
@@ -421,3 +424,5 @@ def test_domain_validation():
         run_dichotomic(Model.GREEDY, 0.5, 0, RandomSource(0, 0))
     with pytest.raises(DomainError):
         run_dichotomic(Model.GREEDY, 0.5, 10, RandomSource(0, 0), lambda_max=0)
+    assert refusal(lambda: run_dichotomic("greedy", 0.5, 10, RandomSource(0, 0))) == (
+        DomainError, "unknown model 'greedy'")
