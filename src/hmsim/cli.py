@@ -12,7 +12,8 @@ Each subcommand takes only the flags it reads; any other flag is refused:
 
   verify       --L --format --no-timestamp, and --p or a file; --convention
                with a file only (a bare --p has no history to apply it to)
-  sample       --seed --trials --lambda-max --format --no-timestamp
+  sample       --seed --trials --lambda-max --format --no-timestamp; --lambda-max
+               with a discrete model only (the continuous model has no level)
   sphere       --seed --trials --lambda-max --L --format --no-timestamp
   history      --seed --trials --lambda-max --format --no-timestamp
   parse-check  --format
@@ -420,6 +421,10 @@ def _command(args: argparse.Namespace) -> int:
             if value is None or other is not None:
                 print("sample: provide --p for greedy or --t for continuous/geometric,"
                       " not both", file=sys.stderr)
+                return 2
+            if model is hmsim.sampler.Model.CONTINUOUS and args.lambda_max is not None:
+                print("sample: --lambda-max is not allowed with --model continuous; it caps"
+                      " the context level of the discrete models", file=sys.stderr)
                 return 2
             return cmd_sample(config, model, value)
         if args.subcommand == "sphere":

@@ -98,7 +98,9 @@ def bloch_of_qubit(p: StateVector) -> BlochVector:
     p.require_normalized()
     a, b = complex(p.amplitudes[0]), complex(p.amplitudes[1])
     ab = a.conjugate() * b
-    return BlochVector(2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2)
+    v = object.__new__(BlochVector)  # its norm^2 is <v|v>^2: p's admission, not checked again
+    v.__dict__.update(x=2.0 * ab.real, y=2.0 * ab.imag, z=abs(a) ** 2 - abs(b) ** 2)
+    return v
 
 
 def qubit_from_angles(theta: float, phi: float = 0.0) -> StateVector:

@@ -2,7 +2,7 @@
 
 Everything here is a pure function over immutable values; arrays are frozen
 after construction so instances can be shared freely between threads. Dense
-numpy matrices only, aimed at desk scale (dims up to ~64, tensor rank up to ~6).
+numpy matrices only, aimed at desk scale (dims up to ~64, products up to MAX_DENSE_DIM).
 
 Tensor index order is big-endian: in a product the first factor varies
 slowest, i.e. ``kron(a, b)[i * dim_b + j] == a[i] * b[j]``.
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     DegenerateSpanError,
     DimensionError,
+    DomainError,
     EmptyTensorError,
     InvariantError,
     NormalizationError,
@@ -32,6 +33,7 @@ UNITARY_TOL = 1e-10
 NORMALIZATION_TOL = 1e-12  # on <v|v> - 1
 SPAN_RESIDUAL_TOL = 1e-10
 RANK_TRACE_TOL = 1e-8
+MAX_DENSE_DIM = 2048  # total dim of a Kronecker product; 64 MiB as a complex128 matrix
 
 
 def _frozen_complex_matrix(m, name: str) -> np.ndarray:
@@ -114,8 +116,8 @@ class Projector:
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray) -> "Projector":
-        """A projector on a fresh nonempty complex128 matrix that this module built to be
-        one: keeps it, frozen, without the O(d^3) Hermiticity and idempotency checks."""
+        """A projector on a fresh or frozen nonempty complex128 matrix that hmsim built to
+        be one: keeps it, frozen, without the O(d^3) Hermiticity and idempotency checks."""
         matrix.setflags(write=False)
         p = object.__new__(cls)
         object.__setattr__(p, "matrix", matrix)
@@ -210,7 +212,7 @@ def ketbra(state: StateVector) -> Projector:
 
 
 def born_probability(p: StateVector, proj: Projector) -> float:
-    """||P p||^2 for a normalized state p; clamped into [0, 1]."""
+    """||P p||^2 for a normalized state p, clamped to at most 1."""
     p.require_normalized()
     _check_same_dim(p.space_dim, proj.space_dim, "born_probability")
     return _born(p.amplitudes, proj)
@@ -219,10 +221,7 @@ def born_probability(p: StateVector, proj: Projector) -> float:
 def _born(amps: np.ndarray, proj: Projector) -> float:
     """born_probability of a normalized state's amplitudes, of the projector's dim."""
     w = proj.matrix.dot(amps)
-    val = float(np.vdot(w, w).real)
-    if val < -NORMALIZATION_TOL or val > 1.0 + NORMALIZATION_TOL:
-        raise InvariantError(f"probability {val!r} outside [0,1] beyond tolerance")
-    return min(max(val, 0.0), 1.0)
+    return min(float(np.vdot(w, w).real), 1.0)  # a sum of squares: never below 0
 
 
 def complement_projector(p: Projector) -> Projector:
@@ -231,25 +230,29 @@ def complement_projector(p: Projector) -> Projector:
     return Projector._trusted(np.eye(p.space_dim, dtype=np.complex128) - p.matrix)
 
 
+def _kron(arrays: list[np.ndarray], what: str) -> np.ndarray:
+    """Kronecker product of a nonempty list, refused above MAX_DENSE_DIM before any product."""
+    if not arrays:
+        raise EmptyTensorError(f"tensor product of no {what}")
+    if (total := math.prod(len(a) for a in arrays)) > MAX_DENSE_DIM:
+        raise DomainError(f"dense history operator dim {total} exceeds {MAX_DENSE_DIM}")
+    return reduce(np.kron, arrays)
+
+
 def tensor_vectors(factors: Sequence[StateVector]) -> StateVector:
     """Kronecker product of the factors, first factor varying slowest."""
-    if not factors:
-        raise EmptyTensorError("tensor product of no vectors")
-    return StateVector(reduce(np.kron, (f.amplitudes for f in factors)))
+    return StateVector(_kron([f.amplitudes for f in factors], "vectors"))
 
 
 def tensor_projectors(factors: Sequence[Projector]) -> Projector:
-    """Kronecker product of projectors, same ordering as tensor_vectors."""
-    if not factors:
-        raise EmptyTensorError("tensor product of no projectors")
-    m = reduce(np.kron, (f.matrix for f in factors))
-    return Projector(m)
+    """Kronecker product of projectors, same ordering as tensor_vectors; not checked again."""
+    return Projector._trusted(_kron([f.matrix for f in factors], "projectors"))
 
 
 def conjugate(p: Projector, u: UnitaryMap) -> Projector:
-    """U P U^dagger."""
+    """U P U^dagger; it inherits the admission of P and U, not checked again."""
     _check_same_dim(p.space_dim, u.space_dim, "conjugate")
-    return Projector(u.matrix @ p.matrix @ u.matrix.conj().T)
+    return Projector._trusted(u.matrix @ p.matrix @ u.matrix.conj().T)
 
 
 def vector_to_json(v: StateVector) -> list[list[float]]:

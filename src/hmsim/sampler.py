@@ -35,10 +35,10 @@ from .errors import DomainError
 from .rng import RandomSource, _check_lambda_max
 
 # Words drawn per block: sampling memory is bounded by this, not by the trial
-# count. 2**14 words keep a block's 128 KiB temporaries in a 2 MiB per-core L2.
-# Measured in process on a 2-vCPU Xeon, 5e6 trials of each of the three models
-# took 96 ms at 2**14 words, 118 ms at 2**12 (per-call overhead) and 162 ms at
-# 2**16 (out of L2), medians of 15 interleaved runs.
+# count. In process on a 2-vCPU Xeon, 5e6 trials of each of the three models took
+# 128 ms at 2**12 words (per-call overhead), 112 ms at 2**14 and 116 ms at 2**16,
+# medians of 10 interleaved rounds; 2**16 saves no time, and its two live 512 KiB
+# blocks add 0.8 MiB to the peak RSS of a 5e6-trial `hmsim sphere`.
 BLOCK_WORDS = 1 << 14
 
 

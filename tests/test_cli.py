@@ -301,8 +301,7 @@ def test_stdin_input(capsys, monkeypatch):
 
 
 # any warning (numpy's overflow RuntimeWarning, for one) escapes main as an
-# exception and fails the test
-@pytest.mark.filterwarnings("error")
+# exception under the suite's filterwarnings = ["error"] and fails the test
 @pytest.mark.parametrize("amplitudes", ["1e200, 0", "1e-200, 1e-200"])
 @pytest.mark.parametrize("subcommand", ["parse-check", "verify"])
 def test_state_norm_out_of_float_range_exits_2_with_position(capsys, tmp_path,
@@ -412,6 +411,21 @@ def test_sample_refuses_the_other_model_parameter(capsys, model, extra):
     assert code == 2
     assert out == ""
     assert "provide" in err
+
+
+@pytest.mark.parametrize("model,value", [("continuous", "0.3"), ("greedy", "0.3"),
+                                         ("geometric", "0.3")])
+def test_sample_takes_lambda_max_with_a_discrete_model_only(capsys, model, value):
+    # the continuous model draws no level, so a cap on it would be ignored
+    flag = "--p" if model == "greedy" else "--t"
+    code, out, err = run_cli(capsys, "sample", "--model", model, flag, value,
+                             "--lambda-max", "5", "--trials", "10", "--no-timestamp")
+    if model == "continuous":
+        assert (code, out) == (2, "")
+        assert err == ("sample: --lambda-max is not allowed with --model continuous; it caps"
+                       " the context level of the discrete models\n")
+    else:
+        assert (code, err) == (0, "")
 
 
 # Every flag a subcommand reads, with a valid value; any other shared flag is refused.

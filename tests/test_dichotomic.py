@@ -60,6 +60,25 @@ def test_bloch_of_qubit_examples():
 def test_bloch_vector_must_be_unit():
     with pytest.raises(InvariantError):
         BlochVector(0.5, 0.0, 0.0)
+    with pytest.raises(InvariantError):  # (1 + 9e-13)**2 - 1 is past the 1e-12 tolerance
+        BlochVector(0.0, 0.0, 1.0 + 0.9e-12)
+
+
+# <v|v> - 1 = 9e-13, and the largest <v|v> that require_normalized admits (4503 ulps
+# above 1): the Bloch vector's norm^2 is <v|v>^2, about twice as far from 1, and the
+# state's admission stands for it, with no coordinate rescaled
+@pytest.mark.parametrize("amplitudes", [[math.sqrt(1 + 0.9e-12), 0.0],
+                                        [1.0, math.sqrt(4503 * 2.0**-52)]])
+def test_bloch_of_qubit_takes_every_admitted_state(amplitudes):
+    p = StateVector.of(amplitudes)
+    assert p.is_normalized()
+    if amplitudes[1]:
+        assert p.norm_sq() == 1 + 4503 * 2.0**-52
+        assert not StateVector.of([1.0, math.sqrt(4504 * 2.0**-52)]).is_normalized()
+    b = bloch_of_qubit(p)
+    a, c = amplitudes
+    assert (b.x, b.y, b.z) == (2.0 * a * c, 0.0, a * a - c * c)
+    assert abs(b.dot(b) - 1.0) > 1e-12
 
 
 def test_diagonal_coordinate_examples():

