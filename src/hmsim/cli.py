@@ -15,7 +15,8 @@ Each subcommand takes only the flags it reads; any other flag is refused:
   sample       --seed --trials --lambda-max --format --no-timestamp; --lambda-max
                with a discrete model only (the continuous model has no level)
   sphere       --seed --trials --lambda-max --L --format --no-timestamp
-  history      --seed --trials --lambda-max --format --no-timestamp
+  history      --seed --trials --lambda-max --format --no-timestamp; in both,
+               --seed and --lambda-max not with --trials 0 (it skips sampling)
   parse-check  --format
 
 Reports go to stdout as CSV (default) or JSON carrying identical values;
@@ -404,6 +405,11 @@ def _command(args: argparse.Namespace) -> int:
     """The exit code of the command that argparse accepted as `args`."""
     try:
         config = _make_config(args)
+        if args.subcommand in ("sphere", "history") and config.trials == 0 and (
+                args.seed is not None or args.lambda_max is not None):
+            print(f"{args.subcommand}: --seed and --lambda-max are not allowed with --trials 0;"
+                  " they apply to the sampling that --trials 0 skips", file=sys.stderr)
+            return 2
         if args.subcommand == "verify":
             if (args.p is None) == (args.input_path is None):
                 print("verify: exactly one of input or --p is required"

@@ -5,7 +5,7 @@ as the pure-tensor projector of its slots (the history projection operator,
 HPO, of Isham, J. Math. Phys. 35, 2157 (1994)). Negation is identity minus
 that tensor, and the "or" of a disjoint family is the sum of the branch
 tensors. Probabilities come from chaining the slot projectors through the
-initial state, in one walk over amplitude arrays (_lueders_chain); only
+initial state, in one walk over amplitude arrays (_chain); only
 pseudo_project and trajectory, which return states, wrap its images as
 StateVectors. The deterministic outcome at a context level is the greedy
 dyadic rule applied to that probability (sampler.run_history).
@@ -18,13 +18,15 @@ core with one OpenBLAS thread. Only hpo_projector, hpo_negation and
 disjoint_or build d**n-sized matrices, and PseudoProjection.tensor a d**n-sized
 vector; each refuses totals above hilbert.MAX_DENSE_DIM before any Kronecker product.
 
-Two probability conventions are provided. LUEDERS renormalizes the state
-after every slot and multiplies the step survival weights, giving the
-sequential-measurement value ||pi_n ... pi_1 p||^2; it satisfies
-P(A) + P(not A) = 1. LITERAL evaluates the tensor-space expectation on the
-raw unnormalized projection chain, which multiplies the cumulative survival
-weights instead; the two agree for single-time histories and differ beyond
-that. LUEDERS is the default everywhere.
+Two probability conventions are provided, the walk's two modes. LUEDERS
+renormalizes the state after every slot and multiplies the step survivals,
+giving the sequential-measurement value ||pi_n ... pi_1 p||^2; it satisfies
+P(A) + P(not A) = 1, and is 0 once a step's survival is below ZERO_SURVIVAL_TOL.
+LITERAL evaluates the tensor-space expectation on the raw chain, which
+multiplies the cumulative survivals instead, and is 0 once that product is
+below the cutoff. They differ beyond one slot. A one-slot history is the Born
+value under both, except below the cutoff, which a Born value lacks: [0.8, -0.6]
+on ketbra [0.6, 0.8] has Born value 3.08e-33 and history 0.0. LUEDERS is the default.
 """
 
 from __future__ import annotations
@@ -217,19 +219,19 @@ def _require_state_fits(p: StateVector, a: HomogeneousHistory) -> None:
             )
 
 
-def _lueders_chain(amps: np.ndarray, projectors):
-    """(survival, renormalized image) per slot of the Lueders chain, on amplitude arrays.
-
-    At the first slot whose survival is below ZERO_SURVIVAL_TOL the image is
-    None and the walk stops.
-    """
+def _chain(amps: np.ndarray, projectors, lueders: bool = True):
+    """(survival, image) per slot of the projection chain, on amplitude arrays. Lueders
+    mode renormalizes each image, so a survival is its step's weight, and stops with image
+    None at the first survival below ZERO_SURVIVAL_TOL; literal mode keeps the raw images,
+    so a survival is the cumulative ||pi_k ... pi_1 p||^2, and never stops early."""
     for proj in projectors:
         amps = proj.matrix.dot(amps)
         s = float(np.vdot(amps, amps).real)
-        if s < ZERO_SURVIVAL_TOL:
-            yield s, None
-            return
-        amps /= math.sqrt(s)  # a fresh array: the caller's amplitudes are never written
+        if lueders:
+            if s < ZERO_SURVIVAL_TOL:
+                yield s, None
+                return
+            amps /= math.sqrt(s)  # a fresh array: the caller's amplitudes are never written
         yield s, amps
 
 
@@ -238,7 +240,7 @@ def pseudo_project(p: StateVector, a: HomogeneousHistory) -> PseudoProjection:
     _require_state_fits(p, a)
     chain: list[StateVector] = [p]
     survival: list[float] = []
-    for s, q in _lueders_chain(p.amplitudes, a.projectors[:-1]):
+    for s, q in _chain(p.amplitudes, a.projectors[:-1]):
         survival.append(s)
         if q is None:
             return PseudoProjection(tuple(chain), tuple(survival), True)
@@ -262,22 +264,15 @@ def history_probability(
 
 def _chain_probability(amps: np.ndarray, projectors, convention: Convention) -> float:
     """history_probability of a normalized state's amplitudes, of every slot's dim."""
-    if convention is Convention.LUEDERS:
-        prob = 1.0
-        for s, q in _lueders_chain(amps, projectors):
-            if q is None:
-                return 0.0
-            prob *= s
-        return min(prob, 1.0)
-    if convention is Convention.LITERAL:
-        prob = 1.0
-        for proj in projectors:
-            amps = proj.matrix.dot(amps)
-            prob *= float(np.vdot(amps, amps).real)
-            if prob < ZERO_SURVIVAL_TOL:
-                return 0.0
-        return min(prob, 1.0)
-    raise DomainError(f"unknown convention {convention!r}")
+    lueders = convention is Convention.LUEDERS
+    if not lueders and convention is not Convention.LITERAL:
+        raise DomainError(f"unknown convention {convention!r}")
+    prob = 1.0
+    for s, q in _chain(amps, projectors, lueders):
+        prob *= s
+        if q is None or (not lueders and prob < ZERO_SURVIVAL_TOL):
+            return 0.0
+    return min(prob, 1.0)
 
 
 def inhomogeneous_probability(
@@ -313,7 +308,7 @@ def trajectory(
         return None
     _require_state_fits(p, a)
     states: list[StateVector] = []
-    for _, q in _lueders_chain(p.amplitudes, a.projectors):
+    for _, q in _chain(p.amplitudes, a.projectors):
         if q is None:
             raise InfeasibleError("affirmative outcome has probability zero")
         states.append(StateVector(q))

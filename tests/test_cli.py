@@ -467,6 +467,28 @@ def test_subcommand_flags_accepted_or_refused(capsys, sub, flag, accepted):
         assert "unrecognized arguments" in err
 
 
+TRIALS_0_CASES = [(sub, flag) for sub in ("sample", "sphere", "history")
+                  for flag in SUBCOMMAND_FLAGS[sub][1] if flag != "--trials"]
+
+
+@pytest.mark.parametrize("sub,flag", TRIALS_0_CASES, ids=[f"{s}{f}" for s, f in TRIALS_0_CASES])
+def test_trials_0_refuses_the_sampling_flags(capsys, sub, flag):
+    # --trials 0 skips sampling, the only reader of a seed and a level cap; sample, which
+    # does nothing else, refuses --trials 0 itself first
+    base, _ = SUBCOMMAND_FLAGS[sub]
+    value = SHARED_FLAGS[flag]
+    argv = base + ["--trials", "0"] + ([flag] if value is None else [flag, value])
+    code, out, err = run_cli(capsys, *argv)
+    if sub == "sample":
+        assert (code, out, err) == (2, "", "sample: --trials must be >= 1\n")
+    elif flag in ("--seed", "--lambda-max"):
+        assert (code, out) == (2, "")
+        assert err == (f"{sub}: --seed and --lambda-max are not allowed with --trials 0; they"
+                       " apply to the sampling that --trials 0 skips\n")
+    else:
+        assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("sub", list(SUBCOMMAND_FLAGS))
 def test_help_lists_only_the_flags_read(capsys, sub):
     code, out, _ = run_cli(capsys, sub, "--help")

@@ -558,6 +558,14 @@ def test_single_time_reduces_to_born(rng):
             assert history_probability(p, hist, conv) == pytest.approx(expected, abs=1e-12)
 
 
+def test_single_time_is_not_born_below_the_cutoff():
+    # a Born value has no annihilation cutoff; a one-slot history has one under both conventions
+    p, proj = StateVector.of([0.8, -0.6]), ketbra(StateVector.of([0.6, 0.8]))
+    assert 0.0 < born_probability(p, proj) < ZERO_SURVIVAL_TOL
+    hist = HomogeneousHistory.at_times([0.0], [proj])
+    assert [history_probability(p, hist, conv) for conv in Convention] == [0.0, 0.0]
+
+
 def test_repeated_projector_law(rng):
     for m in (2, 3, 4):
         proj = ketbra(random_state(rng, 2))
@@ -846,6 +854,8 @@ def test_lueders_chain_matches_old_loops(case):
     prob = history_probability(p, hist, Convention.LUEDERS)
     assert prob.hex() == chain_oracle_probability(p, hist).hex()
     assert where in ("none", "edge") or prob == 0.0
+    literal = history_probability(p, hist, Convention.LITERAL)
+    assert literal.hex() == literal_loop_oracle(p.amplitudes, hist.projectors).hex()
     chain, survival, annihilated = chain_oracle_pseudo_project(p, hist)
     pp = pseudo_project(p, hist)
     assert amplitude_bytes(pp.chain) == amplitude_bytes(chain)
@@ -887,8 +897,9 @@ def test_unitary_covariance_same_rotation_each_slot(rng):
 
 # The chain loops and the LITERAL loop as written with `@` and
 # float(np.real(np.vdot(...))), before they called ndarray.dot and
-# float(np.vdot(...).real); the oracle for the bits of the new calls, together
-# with the StateVector-per-step loops above.
+# float(np.vdot(...).real), and before the LITERAL loop became a mode of the
+# one chain walk; the oracle for the bits of the new calls, together with the
+# StateVector-per-step loops above.
 def literal_loop_oracle(amps, projectors):
     prob = 1.0
     for proj in projectors:
